@@ -20,25 +20,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .windowing import Side
+
 __all__ = [
     "DecodingGraph",
     "Syndrome",
     "BoundaryPlane",
     "DependencyBits",
     "build_window_graph",
-    "FACES",
 ]
-
-# Face name -> (axis, direction). Direction +1 extends past the high end
-# of the commit box, -1 past the low end.
-FACES = {
-    ("temporal", "past"): ("t", -1),
-    ("temporal", "future"): ("t", +1),
-    ("spatial", "north"): ("row", -1),
-    ("spatial", "south"): ("row", +1),
-    ("spatial", "west"): ("col", -1),
-    ("spatial", "east"): ("col", +1),
-}
 
 AXES = ("t", "row", "col")
 
@@ -61,9 +51,7 @@ class BoundaryPlane:
     """
 
     id: int
-    orientation: str
-    side: str
-    axis: str
+    side: Side
     cut: int
     node_layer: int
     nodes: np.ndarray
@@ -110,28 +98,23 @@ class DecodingGraph:
             raise ValueError(f"commit_rounds must be >= 1, got {commit_rounds}")
         self.d = d
         self.commit_rounds = commit_rounds
-        self.buffer_spec = [tuple(b) for b in buffer_spec]
+        self.sides = [Side.from_pair(b) for b in buffer_spec]
+        if len(set(self.sides)) < len(self.sides):
+            raise ValueError(f"duplicate buffer face in {list(buffer_spec)!r}")
 
         rows, cols = d - 1, (d + 1) // 2
         lo = {"t": 0, "row": 0, "col": 0}
         hi = {"t": commit_rounds, "row": rows, "col": cols}
         depth = {"t": d, "row": rows, "col": cols}
-        seen = set()
-        for face in self.buffer_spec:
-            if face not in FACES:
-                raise ValueError(f"unknown buffer face {face!r}")
-            if face in seen:
-                raise ValueError(f"duplicate buffer on face {face!r}")
-            seen.add(face)
-            axis, direction = FACES[face]
-            if direction > 0:
-                hi[axis] += depth[axis]
+        for side in self.sides:
+            if side.direction > 0:
+                hi[side.axis] += depth[side.axis]
             else:
-                lo[axis] -= depth[axis]
+                lo[side.axis] -= depth[side.axis]
         self.lo, self.hi = lo, hi
         self.extent = {a: hi[a] - lo[a] for a in AXES}
         self.node_count = self.extent["t"] * self.extent["row"] * self.extent["col"]
-        self.volume_units = commit_rounds / d + len(self.buffer_spec)
+        self.volume_units = commit_rounds / d + len(self.sides)
 
         self._build_edges()
         self._build_planes()
@@ -156,18 +139,6 @@ class DecodingGraph:
             nt + self.lo["t"],
             nr + self.lo["row"],
             nc + self.lo["col"],
-        )
-
-    def in_commit(self, ids) -> np.ndarray:
-        t, r, c = self.node_coords(ids)
-        rows, cols = self.d - 1, (self.d + 1) // 2
-        return (
-            (t >= 0)
-            & (t < self.commit_rounds)
-            & (r >= 0)
-            & (r < rows)
-            & (c >= 0)
-            & (c < cols)
         )
 
     def _build_edges(self):
@@ -219,9 +190,9 @@ class DecodingGraph:
         commit_hi = {"t": self.commit_rounds, "row": rows, "col": cols}
         self.planes: list[BoundaryPlane] = []
         all_ids = np.arange(self.node_count)
-        for face in self.buffer_spec:
-            axis, direction = FACES[face]
-            if direction > 0:
+        for side in self.sides:
+            axis = side.axis
+            if side.direction > 0:
                 cut = commit_hi[axis] - 1
                 node_layer = cut
             else:
@@ -243,9 +214,7 @@ class DecodingGraph:
             self.planes.append(
                 BoundaryPlane(
                     id=len(self.planes),
-                    orientation=face[0],
-                    side=face[1],
-                    axis=axis,
+                    side=side,
                     cut=cut,
                     node_layer=node_layer,
                     nodes=nodes,
@@ -300,19 +269,6 @@ class DecodingGraph:
         east = self.hi["col"] - c
         return np.where(west <= east, WEST, EAST)
 
-    # -- dependency bits ---------------------------------------------------
-
-    def apply_dependency_bits(self, s: Syndrome, bits: DependencyBits) -> Syndrome:
-        plane = self.planes[bits.plane]
-        out = s.copy()
-        plane_set = set(int(n) for n in plane.nodes)
-        for node, bit in bits.toggles.items():
-            if int(node) not in plane_set:
-                raise ValueError(f"toggle key {node} outside plane {plane.id}")
-            if bit:
-                out.bits[node] ^= 1
-        return out
-
     # -- adjacency helpers --------------------------------------------------
 
     def incidence(self):
@@ -327,35 +283,6 @@ class DecodingGraph:
                     inc[v].append((e, u))
             self._incidence = inc
         return self._incidence
-
-    def degrees(self) -> np.ndarray:
-        deg = np.bincount(self.edges_u, minlength=self.node_count)
-        v = self.edges_v[self.edges_v >= 0]
-        return deg + np.bincount(v, minlength=self.node_count)
-
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "commit_rounds": self.commit_rounds,
-            "buffers": [list(b) for b in self.buffer_spec],
-            "node_count": int(self.node_count),
-            "volume_units": self.volume_units,
-            "edges": [
-                [int(u), int(v), "measurement" if k else "data"]
-                for u, v, k in zip(self.edges_u, self.edges_v, self.edge_kind)
-            ],
-            "planes": [
-                {
-                    "id": p.id,
-                    "orientation": p.orientation,
-                    "side": p.side,
-                    "axis": p.axis,
-                    "cut": int(p.cut),
-                    "nodes": [int(n) for n in p.nodes],
-                }
-                for p in self.planes
-            ],
-        }
 
 
 def build_window_graph(d: int, commit_rounds: int, buffer_spec) -> DecodingGraph:

@@ -32,7 +32,6 @@ __all__ = [
     "ExactCapExceeded",
     "decode",
     "extract_dependency_bits",
-    "commit_corrections",
     "path_edges",
     "crossing_site",
 ]
@@ -244,7 +243,7 @@ def crossing_site(g, plane: BoundaryPlane, u: int, v: int):
     """
     if v < 0:
         t, r, c = (int(x) for x in g.node_coords(u))
-        if plane.axis != "col":
+        if plane.side.axis != "col":
             return None
         lo, hi = (g.lo["col"] - 1, c) if v == WEST else (c, g.hi["col"])
         if lo <= plane.cut < hi:
@@ -253,10 +252,11 @@ def crossing_site(g, plane: BoundaryPlane, u: int, v: int):
     a, b = min(u, v), max(u, v)
     ta, ra, ca = (int(x) for x in g.node_coords(a))
     tb, rb, cb = (int(x) for x in g.node_coords(b))
-    if plane.axis == "t":
+    axis = plane.side.axis
+    if axis == "t":
         if ta <= plane.cut < tb:
             return int(g.node_id(plane.node_layer, rb, cb))
-    elif plane.axis == "row":
+    elif axis == "row":
         if min(ra, rb) <= plane.cut < max(ra, rb):
             return int(g.node_id(ta, plane.node_layer, ca))
     else:
@@ -275,17 +275,3 @@ def extract_dependency_bits(
         if site is not None:
             toggles[site] = toggles.get(site, 0) ^ 1
     return DependencyBits(plane.id, toggles)
-
-
-def commit_corrections(m: Matching, g: DecodingGraph) -> set[int]:
-    """Matched path edges lying inside the commit region (XOR across paths)."""
-    acc: set[int] = set()
-    for u, v in m.pairs:
-        acc ^= set(path_edges(g, u, v))
-    keep = set()
-    for e in acc:
-        u = int(g.edges_u[e])
-        v = int(g.edges_v[e])
-        if g.in_commit(u) and (v < 0 or g.in_commit(v)):
-            keep.add(e)
-    return keep

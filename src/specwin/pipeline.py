@@ -10,7 +10,6 @@ the executed timeline come straight out of the event loop.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import json
 import math
@@ -27,14 +26,7 @@ from .decoding_graph import Syndrome, build_window_graph
 from .matching import ExactCapExceeded, decode, extract_dependency_bits
 from .predictor import boundary_view, predict_3step
 from .program import Instruction, Program, ProgramError, validate
-from .windowing import (
-    STRATEGIES,
-    Face,
-    WindowCell,
-    _SPATIAL_SIDE,
-    _a_is_source,
-    aligned_phases,
-)
+from .windowing import STRATEGIES, Face, Side, WindowCell, aligned_phases, owns_face
 
 __all__ = [
     "LatencyModel",
@@ -60,36 +52,9 @@ RECOVERY_STRATEGIES = ("optimistic", "adjacent", "pessimistic")
 # depend on event interleaving.
 _COND, _SPEC, _LAT, _WIN = 1, 2, 3, 4
 
-_FACE_TAG = {
-    ("temporal", "past"): 0,
-    ("temporal", "future"): 1,
-    ("spatial", "north"): 2,
-    ("spatial", "south"): 3,
-    ("spatial", "west"): 4,
-    ("spatial", "east"): 5,
-}
-_MIRROR = {
-    "past": "future",
-    "future": "past",
-    "north": "south",
-    "south": "north",
-    "west": "east",
-    "east": "west",
-}
-_AXIS = {"past": "t", "future": "t", "north": "row", "south": "row", "west": "col", "east": "col"}
-
 # Event phases: completions verify before speculative bits published at
 # the same round become consumable.
 _PH_GEN, _PH_DONE, _PH_SPEC = 0, 1, 2
-
-
-def _tag(face: Face) -> int:
-    return _FACE_TAG[(face.orientation, face.side)]
-
-
-def _owner_tag(face: Face) -> int:
-    """Tag of the face as seen from its owning (source) side."""
-    return _FACE_TAG[(face.orientation, _MIRROR[face.side])]
 
 
 # -- keyed draws ------------------------------------------------------------
@@ -404,11 +369,25 @@ def _by_cid(cells) -> list:
     return sorted(cells, key=lambda c: c.cid)
 
 
+class _Task:
+    """One decode attempt of a cell: its rounds, what it consumed, and,
+    once done, the speculative sources it still waits on."""
+
+    __slots__ = ("start", "end", "attempt", "consumed", "pending")
+
+    def __init__(self, start: int, end: int, attempt: int, consumed: tuple):
+        self.start = start
+        self.end = end
+        self.attempt = attempt
+        self.consumed = consumed  # (sink face, source cell, "verified" | "spec")
+        self.pending: set[_Cell] = set()
+
+
 class _Cell:
     """Mutable pipeline state for one window cell."""
 
     __slots__ = (
-        "win", "cid", "key", "sources", "sinks", "vgen", "gen_fired",
+        "win", "cid", "key", "vgen", "gen_fired",
         "gen_time", "spec_time", "verified_at", "running", "done",
         "final_consumed", "queued", "attempts", "first_start", "waiters",
         "pending_children", "spec_consumers", "hooks", "graph", "plane_tags",
@@ -419,43 +398,26 @@ class _Cell:
         self.win = win
         self.cid = win.id
         self.key = key
-        # The window's source and sink faces, each list ordered by face tag
-        # (ties in attach order).
-        self.sources: list[Face] = []
-        self.sinks: list[Face] = []
         self.vgen = 0
         self.gen_fired = False
         self.gen_time: int | None = None
         self.spec_time: int | None = None
         self.verified_at: int | None = None
-        self.running = None  # (start, end, attempt, consumed)
-        self.done = None  # (end, busy, consumed, pending set)
+        self.running: _Task | None = None
+        self.done: _Task | None = None
         self.final_consumed: tuple = ()
         self.queued = False
         self.attempts = 0
         self.first_start: int | None = None
         self.waiters: set[_Cell] = set()
         self.pending_children: set[_Cell] = set()
-        self.spec_consumers: dict[int, set[_Cell]] = {}
+        self.spec_consumers: dict[Side, set[_Cell]] = {}
         self.hooks: list[_Release] = []
         self.graph = None
-        self.plane_tags: tuple[int, ...] = ()
+        self.plane_tags: tuple[Side, ...] = ()
         self.synd = None
-        self.pred: dict[int, Any] = {}
-        self.truth: dict[int, Any] = {}
-
-    def attach(self, face: Face) -> None:
-        self.win.faces.append(face)
-        side = self.sources if face.kind == "source" else self.sinks
-        bisect.insort_right(side, face, key=_tag)
-
-    @property
-    def task_units(self) -> float:
-        """``WindowCell.task_units``, from the cell's own face lists."""
-        units = self.win.commit_units + len(self.sources)
-        if not self.sources:
-            units += len(self.sinks)
-        return units
+        self.pred: dict[Side, Any] = {}
+        self.truth: dict[Side, Any] = {}
 
 
 class _Release:
@@ -522,7 +484,7 @@ class _Engine:
         self.valid = 0
         self.wasted = 0
         self.mispredictions = 0
-        self.wrong_faces: set[tuple[int, int]] = set()
+        self.wrong_faces: set[tuple[int, Side]] = set()
         self._need_sweep = False
 
     # -- rng streams --------------------------------------------------------
@@ -563,22 +525,18 @@ class _Engine:
         self.cells.append(cell)
         ps.cells.append(cell)
         if len(ps.cells) > 1:
-            self._attach_temporal(ps.cells[-2], cell)
+            self._attach(ps.cells[-2], cell, Side.FUTURE)
         self._push(t1, _PH_GEN, cell.cid, cell.vgen)
         return cell
 
-    def _attach_temporal(self, prev: _Cell, nxt: _Cell) -> None:
-        patch = prev.win.patch
-        a_src = _a_is_source(
-            self.cfg.strategy, self.d, self.phases,
-            (prev.win.t0, patch), (nxt.win.t0, patch),
+    def _attach(self, a: _Cell, b: _Cell, side: Side) -> None:
+        """Put a face between cells ``a`` and ``b`` on ``a``'s ``side``."""
+        wa, wb = a.win, b.win
+        a_src = owns_face(
+            self.cfg.strategy, self.d, self.phases, (wa.t0, wa.patch), (wb.t0, wb.patch)
         )
-        if a_src:
-            prev.attach(Face("temporal", "future", nxt.cid, "source"))
-            nxt.attach(Face("temporal", "past", prev.cid, "sink"))
-        else:
-            prev.attach(Face("temporal", "future", nxt.cid, "sink"))
-            nxt.attach(Face("temporal", "past", prev.cid, "source"))
+        wa.attach(Face(side, b.cid, "source" if a_src else "sink"))
+        wb.attach(Face(side.mirror, a.cid, "sink" if a_src else "source"))
 
     def _ensure_upto(self, patch: tuple, upto: int) -> None:
         ps = self.pstate[patch]
@@ -624,9 +582,7 @@ class _Engine:
             self._push(self._gen_value(nbr), _PH_GEN, nbr.cid, nbr.vgen)
 
     def _connect(self, pa: tuple, pb: tuple, w_start: int, w_end: int) -> None:
-        dr, dc = pb[0] - pa[0], pb[1] - pa[1]
-        side_a = _SPATIAL_SIDE[(dr, dc)]
-        side_b = _SPATIAL_SIDE[(-dr, -dc)]
+        side = Side.between(pa, pb)
         cbs = _overlapping(self.pstate[pb].cells, w_start, w_end)
         for ca in _overlapping(self.pstate[pa].cells, w_start, w_end):
             for cb in cbs:
@@ -638,12 +594,7 @@ class _Engine:
                 if pair in self.spatial_pairs:
                     continue
                 self.spatial_pairs.add(pair)
-                a_src = _a_is_source(
-                    self.cfg.strategy, self.d, self.phases,
-                    (ca.win.t0, pa), (cb.win.t0, pb),
-                )
-                ca.attach(Face("spatial", side_a, cb.cid, "source" if a_src else "sink"))
-                cb.attach(Face("spatial", side_b, ca.cid, "sink" if a_src else "source"))
+                self._attach(ca, cb, side)
 
     # -- instruction scheduling ---------------------------------------------
 
@@ -722,7 +673,7 @@ class _Engine:
 
     def _gen_value(self, cell: _Cell) -> int:
         g = cell.win.t1
-        for f in cell.sources:
+        for f in cell.win.sources:
             g = max(g, self.cells[f.neighbor].win.t1)
         return g
 
@@ -738,7 +689,7 @@ class _Engine:
             return
         cell.gen_fired = True
         cell.gen_time = self.clock
-        if self.spec_on and cell.sources:
+        if self.spec_on and cell.win.sources:
             self._push(self.clock + self.cfg.t_spec, _PH_SPEC, cid)
         self._try_start(cell)
 
@@ -769,7 +720,7 @@ class _Engine:
         ):
             return
         consumed = []
-        for f in cell.sinks:
+        for f in cell.win.sinks:
             src = self.cells[f.neighbor]
             if src.verified_at is not None:
                 consumed.append((f, src, "verified"))
@@ -790,14 +741,14 @@ class _Engine:
         rng = None
         if self.cfg.latency.kind == "empirical":
             rng = self._rng(_LAT, *cell.key, attempt)
-        dur = decode_latency(cell.task_units, self.d, self.cfg.latency, rng)
+        dur = decode_latency(cell.win.task_units, self.d, self.cfg.latency, rng)
         now = self.clock
         if cell.first_start is None:
             cell.first_start = now
-        cell.running = (now, now + dur, attempt, tuple(consumed))
+        cell.running = _Task(now, now + dur, attempt, tuple(consumed))
         for f, src, mode in consumed:
             if mode == "spec":
-                src.spec_consumers.setdefault(_owner_tag(f), set()).add(cell)
+                src.spec_consumers.setdefault(f.side.mirror, set()).add(cell)
         self.running_count += 1
         self.occupancy.append((now, self.running_count))
         self._push(now + dur, _PH_DONE, cell.cid, attempt)
@@ -813,21 +764,22 @@ class _Engine:
     def _unbind(self, cell: _Cell, consumed: tuple) -> None:
         for f, src, mode in consumed:
             if mode == "spec":
-                src.spec_consumers.get(_owner_tag(f), set()).discard(cell)
+                src.spec_consumers.get(f.side.mirror, set()).discard(cell)
 
     def _on_done(self, cid: int, attempt: int) -> None:
         cell = self.cells[cid]
-        if cell.running is None or cell.running[2] != attempt:
+        task = cell.running
+        if task is None or task.attempt != attempt:
             return
-        start, end, _, consumed = cell.running
         cell.running = None
         self.running_count -= 1
         self.occupancy.append((self.clock, self.running_count))
-        busy = end - start
-        pending = {src for _, src, mode in consumed if mode == "spec" and src.verified_at is None}
-        cell.done = (end, busy, consumed, pending)
-        if pending:
-            for src in pending:
+        task.pending = {
+            src for _, src, mode in task.consumed if mode == "spec" and src.verified_at is None
+        }
+        cell.done = task
+        if task.pending:
+            for src in task.pending:
                 src.pending_children.add(cell)
         else:
             self._verify_cascade(cell)
@@ -839,13 +791,13 @@ class _Engine:
         work = deque([root])
         while work:
             cell = work.popleft()
-            if cell.verified_at is not None or cell.done is None or cell.done[3]:
+            task = cell.done
+            if cell.verified_at is not None or task is None or task.pending:
                 continue
-            _, busy, consumed, _ = cell.done
             cell.done = None
-            cell.final_consumed = consumed
+            cell.final_consumed = task.consumed
             cell.verified_at = self.clock
-            self.valid += busy
+            self.valid += task.end - task.start
             for rel in cell.hooks:
                 self._note_release(rel, self.clock)
             wrongs = self._judge_speculation(cell)
@@ -859,8 +811,8 @@ class _Engine:
             # cycles, letting finished runs free without the cycle collector.
             cell.spec_consumers.clear()
             for child in _by_cid(cell.pending_children):
-                child.done[3].discard(cell)
-                if not child.done[3]:
+                child.done.pending.discard(cell)
+                if not child.done.pending:
                     work.append(child)
             cell.pending_children.clear()
             for w in _by_cid(cell.waiters):
@@ -871,7 +823,7 @@ class _Engine:
             self._need_sweep = False
             self._sweep()
 
-    def _judge_speculation(self, cell: _Cell) -> list[int]:
+    def _judge_speculation(self, cell: _Cell) -> list[Side]:
         if not self.spec_on:
             return []
         if self.cfg.speculation == "integrated":
@@ -882,8 +834,8 @@ class _Engine:
         if cell.spec_time is None:
             return []
         wrongs = []
-        for f in cell.sources:
-            tag = _tag(f)
+        for f in cell.win.sources:
+            tag = f.side
             u = self._uniform(_SPEC, *cell.key, tag)
             thr = self.cfg.accuracy
             if self.wrong_faces and not self.wrong_faces.isdisjoint(
@@ -894,18 +846,18 @@ class _Engine:
                 wrongs.append(tag)
         return wrongs
 
-    def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, int]]:
-        """Identities (owner cell, owner tag) of faces meeting f at a corner."""
+    def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, Side]]:
+        """Identities (owner cell, owner side) of faces meeting f at a corner."""
         out: set[tuple[int, int]] = set()
         nbr = self.cells[f.neighbor]
         for z in (cell, nbr):
             for g in z.win.faces:
-                if _AXIS[g.side] == _AXIS[f.side]:
+                if g.side.axis == f.side.axis:
                     continue
                 if g.kind == "source":
-                    out.add((z.cid, _tag(g)))
+                    out.add((z.cid, g.side))
                 else:
-                    out.add((g.neighbor, _owner_tag(g)))
+                    out.add((g.neighbor, g.side.mirror))
         return out
 
     def _note_release(self, rel: _Release, now: int) -> None:
@@ -922,10 +874,10 @@ class _Engine:
         rel.resume = rel.t_b + 2 * self.d * blocks
         self._need_sweep = True
 
-    def _recover(self, src: _Cell, tag: int) -> None:
+    def _recover(self, src: _Cell, tag: Side) -> None:
         targets = set(src.spec_consumers.get(tag, ()))
         if self.cfg.recovery in ("adjacent", "pessimistic"):
-            face = next(f for f in src.sources if _tag(f) == tag)
+            face = next(f for f in src.win.sources if f.side == tag)
             for oid, otag in self._adjacent_faces(src, face):
                 owner = self.cells[oid]
                 if owner.verified_at is None:
@@ -935,7 +887,7 @@ class _Engine:
             seen = {c.cid for c in targets}
             while frontier:
                 cur = frontier.pop()
-                for f in cur.sources:
+                for f in cur.win.sources:
                     child = self.cells[f.neighbor]
                     if child.cid in seen:
                         continue
@@ -948,19 +900,19 @@ class _Engine:
             if cell.verified_at is not None:
                 continue
             if cell.running is not None:
-                start, _, _, consumed = cell.running
-                self.wasted += now - start
+                task = cell.running
+                self.wasted += now - task.start
                 cell.running = None
                 self.running_count -= 1
                 self.occupancy.append((now, self.running_count))
-                self._unbind(cell, consumed)
+                self._unbind(cell, task.consumed)
             elif cell.done is not None:
-                _, busy, consumed, pending = cell.done
-                self.wasted += busy
+                task = cell.done
+                self.wasted += task.end - task.start
                 cell.done = None
-                for s in pending:
+                for s in task.pending:
                     s.pending_children.discard(cell)
-                self._unbind(cell, consumed)
+                self._unbind(cell, task.consumed)
             else:
                 continue
             self._try_start(cell)
@@ -970,9 +922,9 @@ class _Engine:
 
     def _graph(self, cell: _Cell):
         if cell.graph is None:
-            cell.plane_tags = tuple(_tag(f) for f in cell.sources)
+            cell.plane_tags = tuple(f.side for f in cell.win.sources)
             cell.graph = build_window_graph(
-                self.d, cell.win.rounds, [(f.orientation, f.side) for f in cell.sources]
+                self.d, cell.win.rounds, [side.pair for side in cell.plane_tags]
             )
         return cell.graph
 
@@ -994,7 +946,7 @@ class _Engine:
         g = cell.graph
         bits = np.array(cell.synd.bits, copy=True)
         for f, src, _ in cell.final_consumed:
-            toggles = src.truth[_owner_tag(f)]
+            toggles = src.truth[f.side.mirror]
             for nid in toggles.nonzero():
                 loc = self._project(f, src, cell, int(nid))
                 if loc is not None:
@@ -1007,22 +959,33 @@ class _Engine:
             cell.truth[tag] = extract_dependency_bits(m, g, g.planes[i])
 
     def _project(self, f: Face, src: _Cell, dst: _Cell, nid: int):
-        """Map one source-plane toggle site into the consumer's frame."""
+        """Map one source-plane toggle site into the sink's frame.
+
+        ``f`` is the sink's face.  A site is kept only if its coordinates
+        off the face's axis lie in the source's commit cross-section and,
+        shifted into the sink's rounds, inside the sink's commit box; the
+        rest of the source's plane runs through its other buffers, whose
+        chains are not this sink's.  The site lands on the sink's face
+        layer.
+        """
         t, r, c = (int(x) for x in src.graph.node_coords(nid))
-        if f.orientation == "temporal":
-            layer = 0 if f.side == "past" else dst.win.rounds - 1
-            return (layer, r, c)
-        t_local = src.win.t0 + t - dst.win.t0
-        if not (0 <= t_local < dst.win.rounds):
-            return None
         rows, cols = self.d - 1, (self.d + 1) // 2
-        if f.side == "north":
-            return (t_local, 0, c)
-        if f.side == "south":
-            return (t_local, rows - 1, c)
-        if f.side == "west":
-            return (t_local, r, 0)
-        return (t_local, r, cols - 1)
+        side = f.side
+        if side.axis == "t":
+            t = 0 if side.direction < 0 else dst.win.rounds - 1
+        else:
+            if not 0 <= t < src.win.rounds:
+                return None
+            t += src.win.t0 - dst.win.t0
+            if not 0 <= t < dst.win.rounds:
+                return None
+            if side.axis == "row":
+                r = 0 if side.direction < 0 else rows - 1
+            else:
+                c = 0 if side.direction < 0 else cols - 1
+        if not (0 <= r < rows and 0 <= c < cols):
+            return None
+        return (t, r, c)
 
     # -- run ------------------------------------------------------------------
 

@@ -69,7 +69,7 @@ class _PlaneGeometry:
         # Crossing edges, keyed by commit-side endpoint and by edge id.
         self.partner: dict[int, int] = {}
         self.commit_site: dict[int, int] = {}
-        axis = plane.axis
+        axis = plane.side.axis
         for eid in plane.crossing_edges:
             eid = int(eid)
             u, v = int(g.edges_u[eid]), int(g.edges_v[eid])

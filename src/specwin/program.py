@@ -156,20 +156,6 @@ class Program:
                 seen.setdefault(p)
         return list(seen)
 
-    def instructions_on(self, patch: PatchId) -> list[int]:
-        """Indices of instructions touching ``patch``, by nominal start."""
-        idx = [i for i, inst in enumerate(self.instructions) if patch in inst.patches]
-        idx.sort(key=lambda i: (self.instructions[i].start_round, i))
-        return idx
-
-    def patch_interval(self, patch: PatchId) -> tuple[int, int]:
-        """Nominal [first, last) active rounds of ``patch``."""
-        starts = [i.start_round for i in self.instructions if patch in i.patches]
-        ends = [i.end_round for i in self.instructions if patch in i.patches]
-        if not starts:
-            raise ProgramError(f"patch {patch} never used")
-        return min(starts), max(ends)
-
     @property
     def end_round(self) -> int:
         return max((i.end_round for i in self.instructions), default=0)

@@ -1,10 +1,11 @@
-"""Window tiling and boundary ownership.
+"""Window cells, their faces, and boundary ownership.
 
 Every patch's active lifetime is tiled into consecutive d-round window
 cells starting at the patch's first active round (the final cell may be
-shorter).  Consecutive cells of one patch share a temporal face, and a
-multi-patch merging instruction puts spatial faces between overlapping
-cells of grid-adjacent participants.
+shorter); the pipeline engine does the tiling, one cell at a time as
+rounds are scheduled.  Consecutive cells of one patch share a temporal
+face, and a multi-patch merging instruction puts spatial faces between
+overlapping cells of grid-adjacent participants.
 
 Each shared face is then owned by exactly one side (the source), which
 decodes the d-deep buffer past the face and hands dependency bits to
@@ -21,49 +22,101 @@ the other side (the sink):
 Color ties (possible between phase-shifted patches) fall back to the
 sliding rule, yielding mixed cells rather than a failure.
 
-A cell's volume counts its commit region plus one d^3 unit per owned
-buffer.  Its decode task additionally re-covers received buffer regions
-when it owns none itself (a pure sink decodes commit plus every
-neighboring buffer).
+A cell's decode task covers its commit region plus one d^3 unit per
+owned buffer, and re-covers received buffer regions when it owns none
+itself (a pure sink decodes commit plus every neighboring buffer).
 """
 from __future__ import annotations
 
-import graphlib
+import bisect
 from dataclasses import dataclass, field
+from enum import IntEnum
+from operator import attrgetter
 
 from .program import Instruction, PatchId, Program
 
 __all__ = [
+    "Side",
     "Face",
     "WindowCell",
-    "WindowGraph",
     "STRATEGIES",
     "SOURCE_COLOR",
-    "build_windows",
     "aligned_phases",
     "cell_color",
     "checkerboard",
+    "owns_face",
     "patch_activity",
-    "tile_interval",
 ]
 
 STRATEGIES = ("sliding", "parallel", "aligned")
 SOURCE_COLOR = 0
 
-_SPATIAL_SIDE = {(-1, 0): "north", (1, 0): "south", (0, -1): "west", (0, 1): "east"}
+
+class Side(IntEnum):
+    """The six faces of a window's box.
+
+    Values are the faces' seeded-draw tags.  Each member carries its
+    ``orientation`` ("temporal" or "spatial"), its ``axis`` ("t", "row"
+    or "col"), its ``direction`` (+1 past the high end of the commit box,
+    -1 past the low end), its ``mirror`` (the same face seen from the
+    neighbor), and its ``pair`` (orientation, lower-case name).
+    """
+
+    PAST = 0, "t", -1
+    FUTURE = 1, "t", +1
+    NORTH = 2, "row", -1
+    SOUTH = 3, "row", +1
+    WEST = 4, "col", -1
+    EAST = 5, "col", +1
+
+    def __new__(cls, value: int, axis: str, direction: int):
+        member = int.__new__(cls, value)
+        member._value_ = value
+        member.axis = axis
+        member.direction = direction
+        member.orientation = "temporal" if axis == "t" else "spatial"
+        return member
+
+    @classmethod
+    def from_pair(cls, pair) -> "Side":
+        """The member named by an (orientation, side) pair."""
+        side = _BY_PAIR.get(tuple(pair))
+        if side is None:
+            raise ValueError(f"unknown face {tuple(pair)!r}")
+        return side
+
+    @classmethod
+    def between(cls, a: PatchId, b: PatchId) -> "Side":
+        """The spatial face of patch ``a`` that touches grid neighbor ``b``."""
+        return _BY_STEP[(b[0] - a[0], b[1] - a[1])]
 
 
-@dataclass
+for _s in Side:
+    _s.mirror = Side(_s ^ 1)
+    _s.pair = (_s.orientation, _s.name.lower())
+_BY_PAIR = {s.pair: s for s in Side}
+_BY_STEP = {(-1, 0): Side.NORTH, (1, 0): Side.SOUTH, (0, -1): Side.WEST, (0, 1): Side.EAST}
+
+
+@dataclass(slots=True)
 class Face:
-    orientation: str
-    side: str
+    """One face of a cell: where it lies, the cell across it, and who owns it."""
+
+    side: Side
     neighbor: int
-    kind: str
+    kind: str  # "source" owns the buffer past the face, "sink" receives its bits
 
 
-@dataclass
+_SIDE_KEY = attrgetter("side")
+
+
+@dataclass(slots=True)
 class WindowCell:
-    """One d-round commit region on one patch, with its boundary faces."""
+    """One d-round commit region on one patch, with its boundary faces.
+
+    ``faces`` keeps attach order; ``sources`` and ``sinks`` hold the same
+    faces split by kind, each ordered by side (ties in attach order).
+    """
 
     id: int
     patch: PatchId
@@ -71,6 +124,8 @@ class WindowCell:
     t1: int
     d: int
     faces: list[Face] = field(default_factory=list)
+    sources: list[Face] = field(default_factory=list)
+    sinks: list[Face] = field(default_factory=list)
 
     @property
     def rounds(self) -> int:
@@ -80,28 +135,30 @@ class WindowCell:
     def commit_units(self) -> float:
         return self.rounds / self.d
 
+    def attach(self, face: Face) -> None:
+        self.faces.append(face)
+        bisect.insort_right(
+            self.sources if face.kind == "source" else self.sinks, face, key=_SIDE_KEY
+        )
+
     def source_faces(self) -> list[Face]:
-        return [f for f in self.faces if f.kind == "source"]
+        return self.sources
 
     def sink_faces(self) -> list[Face]:
-        return [f for f in self.faces if f.kind == "sink"]
-
-    @property
-    def volume(self) -> float:
-        """Commit region plus owned buffers, in d^3 units."""
-        return self.commit_units + len(self.source_faces())
+        return self.sinks
 
     @property
     def task_units(self) -> float:
         """Decode problem size in d^3 units.
 
-        Received buffers add no volume while the cell owns at least one
-        buffer of its own; a pure sink re-covers everything it receives.
+        Commit region plus owned buffers; received buffers add no volume
+        while the cell owns at least one buffer of its own, and a pure sink
+        re-covers everything it receives.
         """
-        sources = len(self.source_faces())
-        if sources:
-            return self.volume
-        return self.volume + len(self.sink_faces())
+        units = self.commit_units + len(self.sources)
+        if not self.sources:
+            units += len(self.sinks)
+        return units
 
 
 def checkerboard(patch: PatchId) -> int:
@@ -120,10 +177,6 @@ def patch_activity(program: Program) -> dict[PatchId, tuple[int, int]]:
             lo, hi = spans.get(p, (ins.start_round, ins.end_round))
             spans[p] = (min(lo, ins.start_round), max(hi, ins.end_round))
     return spans
-
-
-def tile_interval(birth: int, death: int, d: int) -> list[tuple[int, int]]:
-    return [(t, min(t + d, death)) for t in range(birth, death, d)]
 
 
 def aligned_phases(program: Program) -> dict[PatchId, int]:
@@ -148,132 +201,21 @@ def aligned_phases(program: Program) -> dict[PatchId, int]:
     return phases
 
 
-def _a_is_source(
+def owns_face(
     strategy: str,
     d: int,
     phases: dict[PatchId, int],
     a: tuple[int, PatchId],
     b: tuple[int, PatchId],
 ) -> bool:
-    """Decide face ownership between cells keyed by (t0, patch)."""
+    """Whether cell ``a`` owns the face it shares with cell ``b``.
+
+    Cells are keyed by (t0, patch); ``phases`` are the aligned strategy's
+    per-patch phases (empty for the others).
+    """
     if strategy != "sliding":
         ca = cell_color(a[0], d, a[1], phases.get(a[1], 0))
         cb = cell_color(b[0], d, b[1], phases.get(b[1], 0))
         if ca != cb:
             return ca == SOURCE_COLOR
     return a < b
-
-
-@dataclass
-class WindowGraph:
-    strategy: str
-    d: int
-    cells: list[WindowCell]
-    by_patch: dict[PatchId, list[int]]
-    edges: list[tuple[int, int]]
-
-    def cell(self, cid: int) -> WindowCell:
-        return self.cells[cid]
-
-    def generation_complete(self, cid: int) -> int:
-        """Round by which the cell's commit and owned buffers all exist."""
-        cell = self.cells[cid]
-        done = cell.t1
-        for f in cell.source_faces():
-            done = max(done, self.cells[f.neighbor].t1)
-        return done
-
-    def topological_order(self) -> list[int]:
-        ts = graphlib.TopologicalSorter({c.id: set() for c in self.cells})
-        for src, dst in self.edges:
-            ts.add(dst, src)
-        return list(ts.static_order())
-
-    def to_json(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "d": self.d,
-            "cells": [
-                {
-                    "id": c.id,
-                    "patch": list(c.patch),
-                    "start": c.t0,
-                    "end": c.t1,
-                    "volume": c.volume,
-                    "task_units": c.task_units,
-                    "faces": [
-                        {
-                            "orientation": f.orientation,
-                            "side": f.side,
-                            "neighbor": f.neighbor,
-                            "kind": f.kind,
-                        }
-                        for f in c.faces
-                    ],
-                }
-                for c in self.cells
-            ],
-            "edges": [list(e) for e in self.edges],
-        }
-
-
-def build_windows(program: Program, strategy: str = "sliding") -> WindowGraph:
-    """Tile the program's nominal schedule and assign face ownership."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    d = program.distance
-    phases = aligned_phases(program) if strategy == "aligned" else {}
-
-    cells: list[WindowCell] = []
-    by_patch: dict[PatchId, list[int]] = {}
-    activity = patch_activity(program)
-    for patch in sorted(activity):
-        birth, death = activity[patch]
-        ids = []
-        for t0, t1 in tile_interval(birth, death, d):
-            cells.append(WindowCell(len(cells), patch, t0, t1, d))
-            ids.append(cells[-1].id)
-        by_patch[patch] = ids
-
-    pairs: set[tuple[int, int]] = set()
-    for patch, ids in by_patch.items():
-        for prev, nxt in zip(ids, ids[1:]):
-            pairs.add((prev, nxt))
-    spatial: set[tuple[int, int]] = set()
-    for ins in program.instructions:
-        if not ins.merging:
-            continue
-        ps = sorted(ins.patches)
-        for i, p in enumerate(ps):
-            for q in ps[i + 1 :]:
-                dr, dc = q[0] - p[0], q[1] - p[1]
-                if (dr, dc) not in _SPATIAL_SIDE:
-                    continue
-                for cp in by_patch[p]:
-                    for cq in by_patch[q]:
-                        lo = max(cells[cp].t0, cells[cq].t0, ins.start_round)
-                        hi = min(cells[cp].t1, cells[cq].t1, ins.end_round)
-                        if lo < hi:
-                            spatial.add((cp, cq))
-
-    edges: list[tuple[int, int]] = []
-
-    def connect(ca: int, cb: int, orientation: str, side_a: str, side_b: str):
-        a, b = cells[ca], cells[cb]
-        a_src = _a_is_source(strategy, d, phases, (a.t0, a.patch), (b.t0, b.patch))
-        a_kind, b_kind = ("source", "sink") if a_src else ("sink", "source")
-        a.faces.append(Face(orientation, side_a, cb, a_kind))
-        b.faces.append(Face(orientation, side_b, ca, b_kind))
-        edges.append((ca, cb) if a_src else ((cb, ca)))
-
-    for prev, nxt in sorted(pairs):
-        connect(prev, nxt, "temporal", "future", "past")
-    for cp, cq in sorted(spatial):
-        p, q = cells[cp].patch, cells[cq].patch
-        side = _SPATIAL_SIDE[(q[0] - p[0], q[1] - p[1])]
-        opposite = _SPATIAL_SIDE[(p[0] - q[0], p[1] - q[1])]
-        connect(cp, cq, "spatial", side, opposite)
-
-    graph = WindowGraph(strategy, d, cells, by_patch, edges)
-    graph.topological_order()
-    return graph

@@ -265,16 +265,18 @@ def test_criterion_08_recovery_waste_ordering():
     slow = {rec: total_waste(rec, 4) for rec in ("optimistic", "adjacent", "pessimistic")}
     fast = {rec: total_waste(rec, 1) for rec in ("optimistic", "adjacent", "pessimistic")}
     ordered = slow["optimistic"] < slow["adjacent"] < slow["pessimistic"]
-    mean_fast = statistics.fmean(fast.values())
-    spread = 0.0 if mean_fast == 0 else (max(fast.values()) - min(fast.values())) / mean_fast
+    # A 1-round decode verifies each window no later than its speculative
+    # bits appear, so no guess is ever consumed and no scope wastes anything.
+    fast_zero = all(v == 0 for v in fast.values())
     elapsed = time.perf_counter() - t0
-    ok = ordered and spread < 0.10 and elapsed < 300.0
+    ok = ordered and fast_zero and elapsed < 300.0
     _report(
         8,
         ok,
         f"{shots} seeds, 100-window chain: wasted at 4-round decode "
         f"{slow['optimistic']} < {slow['adjacent']} < {slow['pessimistic']} "
-        f"({ordered}); 1-round decode spread {spread:.3f} < 0.10; "
+        f"({ordered}); wasted at 1-round decode {fast['optimistic']}/"
+        f"{fast['adjacent']}/{fast['pessimistic']} == 0 ({fast_zero}); "
         f"{elapsed:.0f}s (<300s)",
     )
 

@@ -13,7 +13,6 @@ import pytest
 from specwin.decoding_graph import EAST, WEST, Syndrome, build_window_graph
 from specwin.matching import (
     ExactCapExceeded,
-    commit_corrections,
     decode,
     extract_dependency_bits,
     path_edges,
@@ -199,33 +198,6 @@ def test_boundary_path_crossing_spatial_plane():
         assert extract_dependency_bits(m, g, plane).nonzero() == {site: 1}
     else:
         assert extract_dependency_bits(m, g, plane).nonzero() == {}
-
-
-def test_commit_corrections_restriction():
-    g = build_window_graph(5, 5, [("temporal", "future")])
-    # Entirely in the buffer: empty update.
-    u = int(g.node_id(6, 1, 1))
-    v = int(g.node_id(6, 2, 1))
-    m = decode(g, syndrome_of(g, [u, v]), "exact")
-    assert commit_corrections(m, g) == set()
-    # Entirely in the commit region: the single matched edge.
-    u = int(g.node_id(2, 1, 1))
-    v = int(g.node_id(2, 1, 2))
-    m = decode(g, syndrome_of(g, [u, v]), "exact")
-    (edge,) = commit_corrections(m, g)
-    ends = {int(g.edges_u[edge]), int(g.edges_v[edge])}
-    assert ends == {u, v}
-    # Crossing chain: only the commit-side edges survive.
-    u = int(g.node_id(3, 2, 1))
-    v = int(g.node_id(6, 2, 1))
-    m = decode(g, syndrome_of(g, [u, v]), "exact")
-    kept = commit_corrections(m, g)
-    whole = set(path_edges(g, u, v))
-    assert kept < whole
-    assert len(kept) == 1  # rounds 3->4 inside commit; 4->5, 5->6 outside
-    for e in kept:
-        assert g.in_commit(int(g.edges_u[e]))
-        assert g.in_commit(int(g.edges_v[e]))
 
 
 def test_path_edges_produce_endpoint_syndrome():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specwin.decoding_graph import Syndrome
+from specwin.matching import decode, extract_dependency_bits
 from specwin.pipeline import (
     CellRecord,
     LatencyModel,
@@ -25,7 +27,14 @@ from specwin.pipeline import (
     simulate_many,
     _Engine,
 )
-from specwin.program import Instruction, InstructionKind, Program, builtin_program
+from specwin.program import (
+    BUILTIN_PROGRAMS,
+    Instruction,
+    InstructionKind,
+    Program,
+    builtin_program,
+)
+from specwin.windowing import Side
 
 
 def idle_program(d: int, rounds: int) -> Program:
@@ -528,6 +537,122 @@ def test_integrated_mispredictions_recover():
         )
         assert again.to_json() == res.to_json()
     assert total > 0
+
+
+_INTEGRATED_CASES = [
+    (name, d, strategy, 2e-2, 1)
+    for name in BUILTIN_PROGRAMS
+    for d in (3, 5)
+    for strategy in ("sliding", "parallel", "aligned")
+] + [("msd_15to1", 7, "aligned", 1e-3, 0)]
+
+
+@pytest.mark.parametrize("name,d,strategy,p,seed", _INTEGRATED_CASES)
+def test_integrated_runs_complete(name, d, strategy, p, seed):
+    prog = builtin_program(name, d)
+    res = simulate(
+        prog,
+        SimConfig(
+            strategy=strategy,
+            speculation="integrated",
+            noise_p=p,
+            latency=LatencyModel.fixed(2 * d),
+            seed=seed,
+        ),
+    )
+    assert all(c.verified_round is not None for c in res.cell_log)
+    assert occupancy_area(res) == res.valid_compute + res.wasted_compute
+
+
+def _two_buffer_source():
+    """A source cell owning its future face and a spatial face, its spatial
+    sink, and the sink's face back to it.
+
+    Patch (1, 0) starts one round after patch (0, 0), so the sink's rounds
+    are shifted against the source's: [0, 3) owns the face it shares with
+    [1, 4) under the sliding rule.
+    """
+    prog = Program(
+        distance=3,
+        grid=(2, 1),
+        instructions=[
+            Instruction(InstructionKind.IDLE, [(0, 0)], 0, 2),
+            Instruction(InstructionKind.IDLE, [(1, 0)], 1, 2),
+            Instruction(InstructionKind.MERGE_ZZ, [(0, 0), (1, 0)], 2, 11),
+        ],
+    )
+    engine = _Engine(prog, SimConfig(stall_blocking=False))
+    engine.run()
+    src = engine.cells[0]
+    assert (src.win.patch, src.win.t0) == ((0, 0), 0)
+    assert [f.side for f in src.win.sources] == [Side.FUTURE, Side.SOUTH]
+    dst = engine.cells[src.win.sources[1].neighbor]
+    assert (dst.win.patch, dst.win.t0, dst.win.t1) == ((1, 0), 1, 4)
+    back = next(g for g in dst.win.faces if g.neighbor == src.cid)
+    engine._graph(src)
+    return engine, src, dst, back
+
+
+def _chain_toggles(g, plane, inner, outer):
+    """Dependency bits on ``plane`` of a single matched chain inner-outer."""
+    u, v = int(g.node_id(*inner)), int(g.node_id(*outer))
+    bits = np.zeros(g.node_count, dtype=np.uint8)
+    bits[[u, v]] = 1
+    m = decode(g, Syndrome(bits), mode="exact")
+    assert m.pairs == [(min(u, v), max(u, v))]
+    return extract_dependency_bits(m, g, plane).nonzero()
+
+
+def _crossing(side, t, d, rounds):
+    """Commit-side and buffer-side (t, row, col) of an edge across ``side``."""
+    rows, cols = d - 1, (d + 1) // 2
+    inner = {"t": t, "row": rows // 2, "col": cols // 2}
+    high = {"t": rounds, "row": rows, "col": cols}[side.axis] - 1
+    inner[side.axis] = high if side.direction > 0 else 0
+    outer = dict(inner)
+    outer[side.axis] += side.direction
+    return tuple(inner.values()), tuple(outer.values())
+
+
+def test_injected_crossing_chain_toggles_matching_sink_node():
+    engine, src, dst, back = _two_buffer_source()
+    side, d, g = back.side.mirror, engine.d, src.graph
+    plane = g.planes[src.plane_tags.index(side)]
+    t_global = max(src.win.t0, dst.win.t0)
+    inner, outer = _crossing(side, t_global - src.win.t0, d, src.win.rounds)
+    toggles = _chain_toggles(g, plane, inner, outer)
+    assert toggles == {int(g.node_id(*inner)): 1}
+    (site,) = toggles
+    # The chain's buffer-side end lies in the sink's patch, on the sink's face
+    # layer: same round and same coordinate along the face.
+    rows, cols = d - 1, (d + 1) // 2
+    want = {"t": t_global - dst.win.t0, "row": outer[1] % rows, "col": outer[2] % cols}
+    assert engine._project(back, src, dst, site) == tuple(want.values())
+
+
+def test_chain_in_sources_other_buffer_is_dropped():
+    engine, src, dst, back = _two_buffer_source()
+    d, g, rounds = engine.d, src.graph, src.win.rounds
+    spatial = back.side.mirror
+    # Across the spatial plane, but in the first round of the source's future
+    # buffer: that round is inside the sink's commit, yet the crossing edge
+    # is the next source cell's, not this one's.
+    plane = g.planes[src.plane_tags.index(spatial)]
+    inner, outer = _crossing(spatial, rounds, d, rounds)
+    assert 0 <= src.win.t0 + rounds - dst.win.t0 < dst.win.rounds
+    (site,) = _chain_toggles(g, plane, inner, outer)
+    assert engine._project(back, src, dst, site) is None
+    # Across the future plane, but in the columns or rows of the spatial buffer.
+    later = engine.cells[next(f.neighbor for f in src.win.sources if f.side is Side.FUTURE)]
+    past = next(f for f in later.win.faces if f.neighbor == src.cid)
+    plane = g.planes[src.plane_tags.index(Side.FUTURE)]
+    inner, _ = _crossing(Side.FUTURE, 0, d, rounds)
+    far = g.hi[spatial.axis] - 1 if spatial.direction > 0 else g.lo[spatial.axis]
+    inner = list(inner)
+    inner[{"row": 1, "col": 2}[spatial.axis]] = far
+    inner, outer = tuple(inner), (inner[0] + 1, inner[1], inner[2])
+    (site,) = _chain_toggles(g, plane, inner, outer)
+    assert engine._project(past, src, later, site) is None
 
 
 # -- keyed draws and seed-parallel sweeps ----------------------------------------

@@ -15,6 +15,7 @@ from specwin.program import (
     serialize_program,
     validate,
 )
+from specwin.windowing import patch_activity
 
 
 def simple_program() -> Program:
@@ -53,9 +54,7 @@ def test_blocking_flag():
 
 def test_patch_interval_and_order():
     prog = simple_program()
-    assert prog.patch_interval((0, 0)) == (0, 12)
-    assert prog.patch_interval((0, 1)) == (5, 10)
-    assert prog.instructions_on((0, 0)) == [0, 1, 2]
+    assert patch_activity(prog) == {(0, 0): (0, 12), (0, 1): (5, 10)}
     assert prog.end_round == 12
 
 

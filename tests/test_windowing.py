@@ -1,15 +1,22 @@
-"""Window tiling and ownership tests."""
+"""Window tiling and ownership tests, on the engine's own cells.
+
+The engine tiles incrementally as it schedules; with stalls disabled every
+instruction runs at its nominal rounds, so its cells are the tiling of the
+nominal schedule.
+"""
+import graphlib
+
 import pytest
 
+from specwin.pipeline import SimConfig, _Engine, simulate
 from specwin.program import Instruction, InstructionKind, Program, builtin_program
 from specwin.windowing import (
     STRATEGIES,
-    WindowGraph,
+    Side,
     aligned_phases,
-    build_windows,
     cell_color,
     checkerboard,
-    build_windows as _bw,
+    patch_activity,
 )
 
 
@@ -30,142 +37,180 @@ def all_programs():
     ]
 
 
-def t_end_cells(program, graph):
+def tile(program, strategy="sliding"):
+    """The engine's window cells, indexed by id, for the nominal schedule."""
+    engine = _Engine(program, SimConfig(strategy=strategy, stall_blocking=False))
+    engine.run()
+    cells = [c.win for c in engine.cells]
+    assert [c.id for c in cells] == list(range(len(cells)))
+    return cells
+
+
+def by_patch(cells):
+    out = {}
+    for c in cells:
+        out.setdefault(c.patch, []).append(c)
+    return out
+
+
+def edges(cells):
+    """(source, sink) cell ids, one per shared face."""
+    return [(c.id, f.neighbor) for c in cells for f in c.sources]
+
+
+def t_end_cells(program, cells):
     """Cell holding each conditional-source instruction's final round."""
     out = []
     for ins in program.instructions:
         if not ins.blocking:
             continue
         for p in ins.patches:
-            for cid in graph.by_patch[p]:
-                c = graph.cell(cid)
+            for c in by_patch(cells)[p]:
                 if c.t0 <= ins.end_round - 1 < c.t1:
-                    out.append(cid)
+                    out.append(c)
     return out
 
 
+def test_side_geometry():
+    assert [s.pair for s in Side] == [
+        ("temporal", "past"), ("temporal", "future"),
+        ("spatial", "north"), ("spatial", "south"),
+        ("spatial", "west"), ("spatial", "east"),
+    ]
+    for s in Side:
+        assert s.mirror.mirror is s
+        assert (s.mirror.axis, s.mirror.direction) == (s.axis, -s.direction)
+        assert Side.from_pair(s.pair) is s
+    assert Side.between((1, 1), (0, 1)) is Side.NORTH
+    assert Side.between((1, 1), (1, 2)) is Side.EAST
+    with pytest.raises(ValueError):
+        Side.from_pair(("temporal", "sideways"))
+
+
 def test_parallel_chain_alternates():
-    g = build_windows(idle_program(5, 25), "parallel")
-    assert len(g.cells) == 5
-    kinds = [{f.kind for f in c.faces} for c in g.cells]
+    cells = tile(idle_program(5, 25), "parallel")
+    assert len(cells) == 5
+    kinds = [{f.kind for f in c.faces} for c in cells]
     assert kinds == [{"source"}, {"sink"}, {"source"}, {"sink"}, {"source"}]
-    assert sorted(g.edges) == [(0, 1), (2, 1), (2, 3), (4, 3)]
+    assert sorted(edges(cells)) == [(0, 1), (2, 1), (2, 3), (4, 3)]
 
 
 def test_sliding_chain_feeds_forward():
-    g = build_windows(idle_program(5, 25), "sliding")
-    assert sorted(g.edges) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert g.cells[0].volume == 2.0
-    assert g.cells[2].volume == 2.0 == g.cells[2].task_units
-    assert g.cells[4].volume == 1.0
-    assert g.cells[4].task_units == 2.0
+    cells = tile(idle_program(5, 25), "sliding")
+    assert sorted(edges(cells)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+    assert cells[0].task_units == 2.0
+    assert cells[2].task_units == 2.0
+    # The last cell only receives: commit plus the re-covered buffer.
+    assert cells[4].commit_units + len(cells[4].sources) == 1.0
+    assert cells[4].task_units == 2.0
 
 
 def test_short_final_cell():
-    g = build_windows(idle_program(5, 13), "sliding")
-    assert [(c.t0, c.t1) for c in g.cells] == [(0, 5), (5, 10), (10, 13)]
-    assert g.cells[2].commit_units == pytest.approx(3 / 5)
+    cells = tile(idle_program(5, 13), "sliding")
+    assert [(c.t0, c.t1) for c in cells] == [(0, 5), (5, 10), (10, 13)]
+    assert cells[2].commit_units == pytest.approx(3 / 5)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("ix", range(4))
 def test_tiling_and_consistency(strategy, ix):
     program = all_programs()[ix]
-    g = build_windows(program, strategy)
-    # Exact per-patch tiling, in order, no gaps.
-    for patch, ids in g.by_patch.items():
-        spans = [(g.cell(i).t0, g.cell(i).t1) for i in ids]
+    cells = tile(program, strategy)
+    d = program.distance
+    # Exact per-patch tiling of the patch's active rounds, in order, no gaps.
+    activity = patch_activity(program)
+    for patch, run in by_patch(cells).items():
+        spans = [(c.t0, c.t1) for c in run]
+        assert (spans[0][0], spans[-1][1]) == activity[patch]
         for (_, e0), (s1, _) in zip(spans, spans[1:]):
             assert e0 == s1
         assert all(e - s >= 1 for s, e in spans)
-        assert all(e - s == g.d for s, e in spans[:-1])
-    # Faces are mirrored with opposite kinds; edges match source sides.
+        assert all(e - s == d for s, e in spans[:-1])
+    # Faces are mirrored with opposite kinds; sources and sinks split faces.
     seen = 0
-    for c in g.cells:
+    for c in cells:
+        assert sorted(c.sources + c.sinks, key=id) == sorted(c.faces, key=id)
+        assert [f.side for f in c.sources] == sorted(f.side for f in c.sources)
+        assert [f.side for f in c.sinks] == sorted(f.side for f in c.sinks)
         for f in c.faces:
-            back = [
-                bf
-                for bf in g.cell(f.neighbor).faces
-                if bf.neighbor == c.id and bf.orientation == f.orientation
-            ]
+            back = [bf for bf in cells[f.neighbor].faces if bf.neighbor == c.id]
             assert len(back) == 1
+            assert back[0].side is f.side.mirror
             assert {f.kind, back[0].kind} == {"source", "sink"}
             seen += 1
-    assert seen == 2 * len(g.edges)
-    # Construction already topo-sorts; do it again explicitly.
-    order = g.topological_order()
-    assert sorted(order) == sorted(c.id for c in g.cells)
+    assert seen == 2 * len(edges(cells))
+    # Dependency bits flow from sources to sinks without a cycle.
+    ts = graphlib.TopologicalSorter({c.id: set() for c in cells})
+    for src, dst in edges(cells):
+        ts.add(dst, src)
+    assert sorted(ts.static_order()) == [c.id for c in cells]
 
 
 def test_repeated_t_parallel_sink_aligned_source():
     program = builtin_program("repeated_t", 5, count=6)
-    parallel = build_windows(program, "parallel")
-    for cid in t_end_cells(program, parallel):
-        assert {f.kind for f in parallel.cell(cid).faces} == {"sink"}
-        assert parallel.cell(cid).task_units == 3.0
-    aligned = build_windows(program, "aligned")
-    for cid in t_end_cells(program, aligned):
-        assert {f.kind for f in aligned.cell(cid).faces} == {"source"}
-        assert aligned.cell(cid).volume == 3.0
+    parallel = tile(program, "parallel")
+    for c in t_end_cells(program, parallel):
+        assert {f.kind for f in c.faces} == {"sink"}
+        assert c.task_units == 3.0
+    aligned = tile(program, "aligned")
+    for c in t_end_cells(program, aligned):
+        assert {f.kind for f in c.faces} == {"source"}
+        assert c.task_units == 3.0
     assert aligned_phases(program) == {(0, 0): 1}
 
 
 def test_parallel_source_volumes():
     program = builtin_program("repeated_t", 5, count=6)
-    g = build_windows(program, "parallel")
+    cells = tile(program, "parallel")
     interior = [
         c
-        for c in g.cells
+        for c in cells
         if len(c.faces) == 2 and {f.kind for f in c.faces} == {"source"}
     ]
     assert interior
-    assert all(c.volume == 3.0 == c.task_units for c in interior)
+    assert all(c.task_units == 3.0 for c in interior)
 
 
 def test_zigzag_is_a_chain():
     program = builtin_program("zigzag_chain", 5, count=10)
-    g = build_windows(program, "sliding")
-    assert len(g.cells) == 10
-    assert len(g.edges) == 9
-    outs = {src for src, _ in g.edges}
-    ins = {dst for _, dst in g.edges}
+    cells = tile(program, "sliding")
+    assert len(cells) == 10
+    chain = edges(cells)
+    assert len(chain) == 9
+    outs = {src for src, _ in chain}
+    ins = {dst for _, dst in chain}
     assert len(outs) == 9 and len(ins) == 9
-    assert all(c.task_units == 2.0 for c in g.cells)
+    assert all(c.task_units == 2.0 for c in cells)
     # Orientations alternate along each patch's two cells.
-    for c in g.cells:
+    for c in cells:
         assert len(c.faces) <= 2
-        assert len({f.orientation for f in c.faces}) == len(c.faces)
+        assert len({f.side.orientation for f in c.faces}) == len(c.faces)
 
 
 def test_aligned_phase_only_for_blocked_patches():
     program = builtin_program("zigzag_chain", 5, count=10)
     assert aligned_phases(program) == {}
-    g_aligned = build_windows(program, "aligned")
-    g_parallel = build_windows(program, "parallel")
-    assert g_aligned.to_json()["cells"] == g_parallel.to_json()["cells"]
+    assert tile(program, "aligned") == tile(program, "parallel")
 
 
 def test_msd_merge_faces():
     program = builtin_program("msd_15to1", 7)
-    g = build_windows(program, "sliding")
-    assert max(len(c.faces) for c in g.cells) >= 4
-    spatial = [
-        (c.patch, g.cell(f.neighbor).patch)
-        for c in g.cells
-        for f in c.faces
-        if f.orientation == "spatial"
-    ]
-    assert all(abs(p[0] - q[0]) + abs(p[1] - q[1]) == 1 for p, q in spatial)
+    cells = tile(program, "sliding")
+    assert max(len(c.faces) for c in cells) >= 4
+    spatial = [(c, f) for c in cells for f in c.faces if f.side.orientation == "spatial"]
+    assert spatial
+    for c, f in spatial:
+        q = cells[f.neighbor].patch
+        assert abs(c.patch[0] - q[0]) + abs(c.patch[1] - q[1]) == 1
+        assert f.side is Side.between(c.patch, q)
 
 
 def test_generation_complete():
-    g = build_windows(idle_program(5, 25), "sliding")
-    assert g.generation_complete(0) == 10
-    assert g.generation_complete(3) == 25
-    assert g.generation_complete(4) == 25
-    gp = build_windows(idle_program(5, 25), "parallel")
-    assert gp.generation_complete(2) == 20
-    assert gp.generation_complete(1) == 10
+    # A cell's data is complete once its commit and owned buffers exist.
+    log = simulate(idle_program(5, 25), SimConfig(strategy="sliding")).cell_log
+    assert [log[i].gen_round for i in (0, 3, 4)] == [10, 25, 25]
+    log = simulate(idle_program(5, 25), SimConfig(strategy="parallel")).cell_log
+    assert [log[i].gen_round for i in (1, 2)] == [10, 20]
 
 
 def test_checkerboard_and_colors():
@@ -177,4 +222,4 @@ def test_checkerboard_and_colors():
 
 def test_unknown_strategy():
     with pytest.raises(ValueError):
-        build_windows(idle_program(5, 10), "zigzag")
+        simulate(idle_program(5, 10), SimConfig(strategy="zigzag"))
