@@ -8,7 +8,6 @@ from .pipeline import (
     occupancy_stats,
     parse_latency,
     processor_heuristic,
-    reaction_time,
     simulate,
     simulate_many,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "parse_latency",
     "parse_program",
     "processor_heuristic",
-    "reaction_time",
     "serialize_program",
     "simulate",
     "simulate_many",

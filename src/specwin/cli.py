@@ -55,22 +55,28 @@ def _add_program_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sim_args(p: argparse.ArgumentParser) -> None:
+def _add_sim_args(
+    p: argparse.ArgumentParser, latency: bool = True, processors: bool = True
+) -> None:
+    """Simulation options; a subcommand that sets the latency or the pool
+    size itself leaves that option out."""
     p.add_argument("--strategy", default="sliding", choices=sorted(STRATEGIES))
     p.add_argument("--spec", default="off", choices=SPECULATION_MODES)
     p.add_argument("--accuracy", type=float, default=0.90)
     p.add_argument("--accuracy-adjacent", type=float, default=0.86)
     p.add_argument("--recovery", default="adjacent", choices=RECOVERY_STRATEGIES)
-    p.add_argument(
-        "--latency",
-        default="linear:1.0",
-        help="decoder latency: fixed:N, fixed:Fd, linear:RATE, empirical:FILE",
-    )
-    p.add_argument(
-        "--processors",
-        default="unlimited",
-        help="decoder pool size: a number, 'auto' (heuristic), or 'unlimited'",
-    )
+    if latency:
+        p.add_argument(
+            "--latency",
+            default="linear:1.0",
+            help="decoder latency: fixed:N, fixed:Fd, linear:RATE, empirical:FILE",
+        )
+    if processors:
+        p.add_argument(
+            "--processors",
+            default="unlimited",
+            help="decoder pool size: a number, 'auto' (heuristic), or 'unlimited'",
+        )
     p.add_argument("--noise-p", type=float, default=1e-3, help="integrated-mode error rate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
@@ -100,12 +106,6 @@ def _load_program(args: argparse.Namespace) -> Program:
 
 
 def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
-    if args.processors == "unlimited":
-        processors = None
-    elif args.processors == "auto":
-        processors = "auto"
-    else:
-        processors = int(args.processors)
     cfg = SimConfig(
         strategy=args.strategy,
         speculation=args.spec,
@@ -113,13 +113,14 @@ def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
         accuracy_adjacent=args.accuracy_adjacent,
         recovery=args.recovery,
         latency=parse_latency(args.latency, program.distance),
-        processors=None if processors == "auto" else processors,
         seed=args.seed,
         stall_blocking=not args.no_stall,
         noise_p=args.noise_p,
     )
-    if processors == "auto":
-        cfg = replace(cfg, processors=processor_heuristic(program, cfg))
+    if args.processors == "auto":
+        cfg.processors = processor_heuristic(program, cfg)
+    elif args.processors != "unlimited":
+        cfg.processors = int(args.processors)
     cfg.validate()
     return cfg
 
@@ -253,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-latency", help="reaction times across latency models")
     _add_program_args(p)
-    _add_sim_args(p)
-    # the shared --latency is ignored; the sweep list drives each run
+    _add_sim_args(p, latency=False)
     p.add_argument(
         "latencies", nargs="+", metavar="LATENCY", help="latency models to sweep"
     )
@@ -276,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("processors", help="size a decoder pool")
     _add_program_args(p)
-    _add_sim_args(p)
+    _add_sim_args(p, processors=False)
     p.set_defaults(func=cmd_processors)
 
     return parser

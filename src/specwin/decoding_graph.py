@@ -32,9 +32,6 @@ __all__ = [
 
 AXES = ("t", "row", "col")
 
-DATA_ERROR = 0
-MEASUREMENT_ERROR = 1
-
 # Virtual boundary node ids.
 WEST = -1
 EAST = -2
@@ -114,7 +111,6 @@ class DecodingGraph:
         self.lo, self.hi = lo, hi
         self.extent = {a: hi[a] - lo[a] for a in AXES}
         self.node_count = self.extent["t"] * self.extent["row"] * self.extent["col"]
-        self.volume_units = commit_rounds / d + len(self.sides)
 
         self._build_edges()
         self._build_planes()
@@ -151,37 +147,32 @@ class DecodingGraph:
             t, r, c = np.meshgrid(tt, rr, cc, indexing="ij")
             return self.node_id(t.ravel(), r.ravel(), c.ravel())
 
-        us, vs, kinds = [], [], []
+        us, vs = [], []
         # Spatial edges within each round.
         u = grid(ts, rs, cs[:-1])
         us.append(u)
         vs.append(u + 1)
-        kinds.append(np.full(u.size, DATA_ERROR))
         u = grid(ts, rs[:-1], cs)
         us.append(u)
         vs.append(u + self.extent["col"])
-        kinds.append(np.full(u.size, DATA_ERROR))
         # Temporal edges between consecutive rounds.
         u = grid(ts[:-1], rs, cs)
         us.append(u)
         vs.append(u + self.extent["row"] * self.extent["col"])
-        kinds.append(np.full(u.size, MEASUREMENT_ERROR))
         # Boundary edges on the two open column sides.
         u = grid(ts, rs, [lo["col"]])
         us.append(u)
         vs.append(np.full(u.size, WEST))
-        kinds.append(np.full(u.size, DATA_ERROR))
         u = grid(ts, rs, [hi["col"] - 1])
         us.append(u)
         vs.append(np.full(u.size, EAST))
-        kinds.append(np.full(u.size, DATA_ERROR))
 
         self.edges_u = np.concatenate(us)
         self.edges_v = np.concatenate(vs)
-        self.edge_kind = np.concatenate(kinds)
         self.edge_count = self.edges_u.size
 
-    def _axis_coord(self, ids, axis):
+    def axis_coord(self, ids, axis):
+        """Coordinate of nodes ``ids`` along ``axis`` ("t", "row" or "col")."""
         t, r, c = self.node_coords(ids)
         return {"t": t, "row": r, "col": c}[axis]
 
@@ -198,17 +189,17 @@ class DecodingGraph:
             else:
                 cut = -1
                 node_layer = 0
-            coord_u = self._axis_coord(self.edges_u, axis)
+            coord_u = self.axis_coord(self.edges_u, axis)
             real_v = self.edges_v >= 0
             coord_v = np.where(
-                real_v, self._axis_coord(np.maximum(self.edges_v, 0), axis), coord_u
+                real_v, self.axis_coord(np.maximum(self.edges_v, 0), axis), coord_u
             )
             crossing = np.flatnonzero(
                 real_v
                 & (np.minimum(coord_u, coord_v) == cut)
                 & (np.maximum(coord_u, coord_v) == cut + 1)
             )
-            coords = self._axis_coord(all_ids, axis)
+            coords = self.axis_coord(all_ids, axis)
             nodes = all_ids[coords == node_layer]
             near = all_ids[np.abs(coords - node_layer) <= 2]
             self.planes.append(
@@ -290,7 +281,6 @@ def build_window_graph(d: int, commit_rounds: int, buffer_spec) -> DecodingGraph
 
     ``buffer_spec`` lists (orientation, side) faces, each adding one
     d-deep buffer region and its boundary plane; at most one buffer per
-    face.  Total volume in d^3 units is commit_rounds/d plus one per
-    buffer.
+    face.
     """
     return DecodingGraph(d, commit_rounds, buffer_spec)

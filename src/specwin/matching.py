@@ -83,14 +83,15 @@ def decode(
 def _greedy(g: DecodingGraph, lit: np.ndarray):
     import heapq
 
+    dmat = g.distance(lit[:, None], lit[None, :])
     bdist = g.boundary_distance(lit)
     nearest = g.nearest_boundary(lit)
     heap = []
-    for i, u in enumerate(lit):
-        heap.append((int(bdist[i]), int(u), int(nearest[i])))
-        d_row = g.distance(np.full(lit.size - i - 1, u), lit[i + 1 :])
-        for dj, v in zip(d_row, lit[i + 1 :]):
-            heap.append((int(dj), int(u), int(v)))
+    nodes, rows = lit.tolist(), dmat.tolist()
+    for i, u in enumerate(nodes):
+        heap.append((int(bdist[i]), u, int(nearest[i])))
+        for j in range(i + 1, len(nodes)):
+            heap.append((rows[i][j], u, nodes[j]))
     heapq.heapify(heap)
     matched: set[int] = set()
     pairs = []
@@ -108,12 +109,7 @@ def _greedy(g: DecodingGraph, lit: np.ndarray):
 
 
 def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
-    tu, ru, cu = g.node_coords(lit)
-    dmat = (
-        np.abs(tu[:, None] - tu[None, :])
-        + np.abs(ru[:, None] - ru[None, :])
-        + np.abs(cu[:, None] - cu[None, :])
-    )
+    dmat = g.distance(lit[:, None], lit[None, :])
     bdist = g.boundary_distance(lit)
     nearest = g.nearest_boundary(lit)
     # Pairing u with v can only beat boundary-matching both when their
@@ -223,15 +219,13 @@ def _ekey(g, coord_a, coord_b):
 
 
 def _edge_index(g: DecodingGraph) -> dict:
-    cached = getattr(g, "_edge_index_cache", None)
-    if cached is None:
-        cached = {}
-        for e in range(g.edge_count):
-            u = int(g.edges_u[e])
-            v = int(g.edges_v[e])
-            cached[(min(u, v), max(u, v)) if v >= 0 else (u, v)] = e
-        g._edge_index_cache = cached
-    return cached
+    """Edge id by endpoint pair: (low, high) for real edges, (u, boundary)."""
+    index = {}
+    for e in range(g.edge_count):
+        u = int(g.edges_u[e])
+        v = int(g.edges_v[e])
+        index[(min(u, v), max(u, v)) if v >= 0 else (u, v)] = e
+    return index
 
 
 def crossing_site(g, plane: BoundaryPlane, u: int, v: int):

@@ -38,7 +38,6 @@ __all__ = [
     "decode_latency",
     "simulate",
     "simulate_many",
-    "reaction_time",
     "occupancy_stats",
     "processor_heuristic",
     "SPECULATION_MODES",
@@ -55,6 +54,9 @@ _COND, _SPEC, _LAT, _WIN = 1, 2, 3, 4
 # Event phases: completions verify before speculative bits published at
 # the same round become consumable.
 _PH_GEN, _PH_DONE, _PH_SPEC = 0, 1, 2
+
+# Rounds from a cell's generation to its published speculative bits.
+_T_SPEC = 1
 
 
 # -- keyed draws ------------------------------------------------------------
@@ -139,16 +141,6 @@ class LatencyModel:
         if self.kind == "empirical" and not self.buckets:
             raise ValueError("empirical latency needs at least one bucket")
 
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"kind": self.kind}
-        if self.kind == "fixed":
-            out["rounds"] = self.rounds
-        elif self.kind == "linear":
-            out["rate"] = self.rate
-        else:
-            out["buckets"] = {str(k): list(v) for k, v in (self.buckets or {}).items()}
-        return out
-
 
 def _parse_rounds(text: str, d: int) -> int:
     text = text.strip()
@@ -199,12 +191,10 @@ class SimConfig:
     speculation: str = "off"
     accuracy: float = 0.90
     accuracy_adjacent: float = 0.86
-    t_spec: int = 1
     recovery: str = "adjacent"
     latency: LatencyModel = field(default_factory=LatencyModel)
     processors: int | None = None
     seed: int = 0
-    round_time_us: float = 1.0
     stall_blocking: bool = True
     noise_p: float = 1e-3
 
@@ -217,8 +207,6 @@ class SimConfig:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")
-        if self.t_spec < 0:
-            raise ValueError("t_spec must be >= 0")
         if self.processors is not None and self.processors < 1:
             raise ValueError("processors must be None or >= 1")
         if self.seed < 0:
@@ -320,14 +308,6 @@ def _unpickle_result(fields: dict) -> SimResult:
     return SimResult(**fields)
 
 
-def reaction_time(result: SimResult, instruction: int) -> int:
-    """Reaction time recorded for one blocking instruction."""
-    for gi, r in result.reactions:
-        if gi == instruction:
-            return r
-    raise KeyError(f"no reaction recorded for instruction {instruction}")
-
-
 def occupancy_stats(result: SimResult) -> tuple[int, float]:
     """Peak and time-averaged decoder occupancy over the executed rounds."""
     series = result.occupancy
@@ -387,11 +367,9 @@ class _Cell:
     """Mutable pipeline state for one window cell."""
 
     __slots__ = (
-        "win", "cid", "key", "vgen", "gen_fired",
-        "gen_time", "spec_time", "verified_at", "running", "done",
-        "final_consumed", "queued", "attempts", "first_start", "waiters",
-        "pending_children", "spec_consumers", "hooks", "graph", "plane_tags",
-        "synd", "pred", "truth",
+        "win", "cid", "key", "vgen", "gen_time", "spec_time", "verified_at",
+        "running", "done", "queued", "attempts", "first_start", "waiters",
+        "spec_consumers", "hooks", "graph", "synd", "pred", "truth",
     )
 
     def __init__(self, win: WindowCell, key: tuple[int, int, int]):
@@ -399,22 +377,18 @@ class _Cell:
         self.cid = win.id
         self.key = key
         self.vgen = 0
-        self.gen_fired = False
         self.gen_time: int | None = None
         self.spec_time: int | None = None
         self.verified_at: int | None = None
         self.running: _Task | None = None
         self.done: _Task | None = None
-        self.final_consumed: tuple = ()
         self.queued = False
         self.attempts = 0
         self.first_start: int | None = None
         self.waiters: set[_Cell] = set()
-        self.pending_children: set[_Cell] = set()
         self.spec_consumers: dict[Side, set[_Cell]] = {}
         self.hooks: list[_Release] = []
         self.graph = None
-        self.plane_tags: tuple[Side, ...] = ()
         self.synd = None
         self.pred: dict[Side, Any] = {}
         self.truth: dict[Side, Any] = {}
@@ -467,7 +441,6 @@ class _Engine:
         self.patch_order = sorted(self.pstate)
 
         n = len(self.instructions)
-        self.exec_start: list[int | None] = [None] * n
         self.exec_end: list[int | None] = [None] * n
         self.timeline: list[TraceSegment] = []
         self.releases: dict[int, _Release] = {}
@@ -549,16 +522,6 @@ class _Engine:
                 t1 = min(t1, ps.death)
             self._new_cell(patch, end, t1)
 
-    def _ensure_next(self, cell: _Cell) -> None:
-        ps = self.pstate[cell.win.patch]
-        if ps.cells[-1] is not cell:
-            return
-        t0 = cell.win.t1
-        if ps.death is not None and t0 >= ps.death:
-            return
-        t1 = t0 + self.d if ps.death is None else min(t0 + self.d, ps.death)
-        self._new_cell(cell.win.patch, t0, t1)
-
     def _apply_death(self, patch: tuple) -> None:
         ps = self.pstate[patch]
         last = ps.cells[-1]
@@ -576,7 +539,7 @@ class _Engine:
             if f.kind != "sink":
                 continue
             nbr = self.cells[f.neighbor]
-            if nbr.gen_fired:
+            if nbr.gen_time is not None:
                 continue
             nbr.vgen += 1
             self._push(self._gen_value(nbr), _PH_GEN, nbr.cid, nbr.vgen)
@@ -636,7 +599,6 @@ class _Engine:
 
     def _commit(self, gi: int, ins: Instruction, start: int) -> None:
         end = start + ins.duration
-        self.exec_start[gi] = start
         self.exec_end[gi] = end
         skipped = False
         if ins.conditional_on is not None:
@@ -679,18 +641,19 @@ class _Engine:
 
     def _on_gen(self, cid: int, v: int) -> None:
         cell = self.cells[cid]
-        if cell.gen_fired or cell.vgen != v:
+        if cell.gen_time is not None or cell.vgen != v:
             return
-        self._ensure_next(cell)
+        patch = cell.win.patch
+        if self.pstate[patch].cells[-1] is cell:
+            self._ensure_upto(patch, cell.win.t1 + 1)
         g = self._gen_value(cell)
         if g > self.clock:
             cell.vgen += 1
             self._push(g, _PH_GEN, cid, cell.vgen)
             return
-        cell.gen_fired = True
         cell.gen_time = self.clock
         if self.spec_on and cell.win.sources:
-            self._push(self.clock + self.cfg.t_spec, _PH_SPEC, cid)
+            self._push(self.clock + _T_SPEC, _PH_SPEC, cid)
         self._try_start(cell)
 
     # -- speculation --------------------------------------------------------
@@ -712,7 +675,7 @@ class _Engine:
 
     def _try_start(self, cell: _Cell) -> None:
         if (
-            not cell.gen_fired
+            cell.gen_time is None
             or cell.verified_at is not None
             or cell.running is not None
             or cell.done is not None
@@ -766,22 +729,25 @@ class _Engine:
             if mode == "spec":
                 src.spec_consumers.get(f.side.mirror, set()).discard(cell)
 
+    def _stop(self, cell: _Cell) -> _Task:
+        """Take the cell's running task off its processor."""
+        task = cell.running
+        cell.running = None
+        self.running_count -= 1
+        self.occupancy.append((self.clock, self.running_count))
+        return task
+
     def _on_done(self, cid: int, attempt: int) -> None:
         cell = self.cells[cid]
         task = cell.running
         if task is None or task.attempt != attempt:
             return
-        cell.running = None
-        self.running_count -= 1
-        self.occupancy.append((self.clock, self.running_count))
+        self._stop(cell)
         task.pending = {
             src for _, src, mode in task.consumed if mode == "spec" and src.verified_at is None
         }
         cell.done = task
-        if task.pending:
-            for src in task.pending:
-                src.pending_children.add(cell)
-        else:
+        if not task.pending:
             self._verify_cascade(cell)
         self._dispatch()
 
@@ -795,26 +761,29 @@ class _Engine:
             if cell.verified_at is not None or task is None or task.pending:
                 continue
             cell.done = None
-            cell.final_consumed = task.consumed
             cell.verified_at = self.clock
             self.valid += task.end - task.start
             for rel in cell.hooks:
                 self._note_release(rel, self.clock)
-            wrongs = self._judge_speculation(cell)
+            wrongs = self._judge_speculation(cell, task.consumed)
             for tag in wrongs:
                 self.wrong_faces.add((cell.cid, tag))
                 self.mispredictions += 1
             for tag in wrongs:
                 self._recover(cell, tag)
+            # Consumers of this cell's speculation that finished decoding are
+            # waiting on its verification.
+            children = _by_cid(
+                {c for cs in cell.spec_consumers.values() for c in cs if c.done is not None}
+            )
             # A verified cell's bits are final, so nothing can roll its
             # consumers back; dropping them also breaks the cell <-> consumer
             # cycles, letting finished runs free without the cycle collector.
             cell.spec_consumers.clear()
-            for child in _by_cid(cell.pending_children):
+            for child in children:
                 child.done.pending.discard(cell)
                 if not child.done.pending:
                     work.append(child)
-            cell.pending_children.clear()
             for w in _by_cid(cell.waiters):
                 self._try_start(w)
             cell.waiters.clear()
@@ -823,11 +792,13 @@ class _Engine:
             self._need_sweep = False
             self._sweep()
 
-    def _judge_speculation(self, cell: _Cell) -> list[Side]:
+    def _judge_speculation(self, cell: _Cell, consumed: tuple) -> list[Side]:
+        """Faces whose speculated bits were wrong, given the verified task's
+        ``consumed`` inputs."""
         if not self.spec_on:
             return []
         if self.cfg.speculation == "integrated":
-            self._integrated_truth(cell)
+            self._integrated_truth(cell, consumed)
             return sorted(
                 tag for tag, pred in cell.pred.items() if pred != cell.truth[tag]
             )
@@ -900,18 +871,13 @@ class _Engine:
             if cell.verified_at is not None:
                 continue
             if cell.running is not None:
-                task = cell.running
+                task = self._stop(cell)
                 self.wasted += now - task.start
-                cell.running = None
-                self.running_count -= 1
-                self.occupancy.append((now, self.running_count))
                 self._unbind(cell, task.consumed)
             elif cell.done is not None:
                 task = cell.done
                 self.wasted += task.end - task.start
                 cell.done = None
-                for s in task.pending:
-                    s.pending_children.discard(cell)
                 self._unbind(cell, task.consumed)
             else:
                 continue
@@ -922,9 +888,8 @@ class _Engine:
 
     def _graph(self, cell: _Cell):
         if cell.graph is None:
-            cell.plane_tags = tuple(f.side for f in cell.win.sources)
             cell.graph = build_window_graph(
-                self.d, cell.win.rounds, [side.pair for side in cell.plane_tags]
+                self.d, cell.win.rounds, [f.side.pair for f in cell.win.sources]
             )
         return cell.graph
 
@@ -937,15 +902,15 @@ class _Engine:
     def _integrated_predict(self, cell: _Cell) -> None:
         self._ensure_synd(cell)
         g = cell.graph
-        for i, tag in enumerate(cell.plane_tags):
-            view = boundary_view(g, g.planes[i], cell.synd)
-            cell.pred[tag] = predict_3step(view).bits
+        for plane in g.planes:
+            view = boundary_view(g, plane, cell.synd)
+            cell.pred[plane.side] = predict_3step(view).bits
 
-    def _integrated_truth(self, cell: _Cell) -> None:
+    def _integrated_truth(self, cell: _Cell, consumed: tuple) -> None:
         self._ensure_synd(cell)
         g = cell.graph
         bits = np.array(cell.synd.bits, copy=True)
-        for f, src, _ in cell.final_consumed:
+        for f, src, _ in consumed:
             toggles = src.truth[f.side.mirror]
             for nid in toggles.nonzero():
                 loc = self._project(f, src, cell, int(nid))
@@ -955,8 +920,8 @@ class _Engine:
             m = decode(g, Syndrome(bits), mode="exact")
         except ExactCapExceeded:
             m = decode(g, Syndrome(bits), mode="greedy")
-        for i, tag in enumerate(cell.plane_tags):
-            cell.truth[tag] = extract_dependency_bits(m, g, g.planes[i])
+        for plane in g.planes:
+            cell.truth[plane.side] = extract_dependency_bits(m, g, plane)
 
     def _project(self, f: Face, src: _Cell, dst: _Cell, nid: int):
         """Map one source-plane toggle site into the sink's frame.
@@ -1001,7 +966,7 @@ class _Engine:
                 self._on_done(cid, arg)
             else:
                 self._on_spec(cid)
-        missing = [i for i, s in enumerate(self.exec_start) if s is None]
+        missing = [i for i, e in enumerate(self.exec_end) if e is None]
         if missing:
             raise RuntimeError(f"scheduling deadlock; instructions never ran: {missing}")
         loose = [c.cid for c in self.cells if c.verified_at is None]
@@ -1034,7 +999,7 @@ class _Engine:
                 )
         return SimResult(
             runtime_rounds=runtime,
-            runtime_us=runtime * self.cfg.round_time_us,
+            runtime_us=float(runtime),
             reactions=sorted(self.reactions),
             timeline=sorted(self.timeline, key=lambda s: (s.start, s.instruction)),
             occupancy=occ,

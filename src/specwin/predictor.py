@@ -73,7 +73,7 @@ class _PlaneGeometry:
         for eid in plane.crossing_edges:
             eid = int(eid)
             u, v = int(g.edges_u[eid]), int(g.edges_v[eid])
-            cu = int(g._axis_coord(u, axis))
+            cu = int(g.axis_coord(u, axis))
             commit, buf = (u, v) if cu == plane.node_layer else (v, u)
             self.partner[commit] = buf
             self.commit_site[eid] = commit
@@ -108,23 +108,20 @@ def _geometry(g: DecodingGraph, plane: BoundaryPlane) -> _PlaneGeometry:
 class BoundaryView:
     """Near-plane slice of one window's syndrome.
 
-    ``bits`` and ``counters`` are sparse over the plane's near nodes
-    (missing key = 0); counters start as a copy of the bits.  Predictors
-    never mutate a view.
+    ``bits`` is sparse over the plane's near nodes (missing key = 0).
+    Predictors never mutate a view.
     """
 
     g: DecodingGraph
     plane: BoundaryPlane
     bits: dict[int, int]
-    counters: dict[int, int]
 
 
 def boundary_view(g: DecodingGraph, plane: BoundaryPlane, s: Syndrome) -> BoundaryView:
     geom = _geometry(g, plane)
     lit = s.lit()
     near_lit = lit[geom.near_mask[lit]]
-    bits = {int(u): 1 for u in near_lit}
-    return BoundaryView(g, plane, bits, dict(bits))
+    return BoundaryView(g, plane, {int(u): 1 for u in near_lit})
 
 
 @dataclass
@@ -162,8 +159,9 @@ def predict_1step(v: BoundaryView) -> Prediction:
 def _two_step(v: BoundaryView):
     """Shared increment + binned-resolution pass.
 
-    Returns (declared, surviving bits, toggles).  Declaring a match
-    zeroes both counters and both bits, consuming the nodes.
+    Returns (declared, surviving bits, toggles).  Counters start as a
+    copy of the bits; declaring a match zeroes both counters and both
+    bits, consuming the nodes.
     """
     geom = _geometry(v.g, v.plane)
     inc = v.g.incidence()
@@ -172,7 +170,7 @@ def _two_step(v: BoundaryView):
         for eid, w in inc[u]:
             if w > u and geom.near_mask[w] and w in v.bits:
                 edges[eid] = (u, w)
-    counters = dict(v.counters)
+    counters = dict(v.bits)
     for u, w in edges.values():
         counters[u] += 1
         counters[w] += 1

@@ -266,3 +266,19 @@ def test_unknown_command_exits_nonzero():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-latency", "--d", "5", "--latency", "fixed:3", "fixed:2"],
+        ["processors", "--d", "5", "--processors", "2"],
+    ],
+)
+def test_options_a_subcommand_sets_itself_are_rejected(argv, capsys):
+    # sweep-latency runs each listed latency and processors sizes the pool,
+    # so neither takes the option it would silently override.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -47,14 +47,11 @@ def test_nodes_per_round(d):
 def test_counting_examples():
     g = build_window_graph(3, 3, [("temporal", "future")])
     assert g.node_count == 24
-    assert g.volume_units == 2.0
 
     g = build_window_graph(5, 5, [("temporal", "future"), ("spatial", "east")])
-    assert g.volume_units == 3.0
     assert len(g.planes) == 2
 
     g = build_window_graph(5, 5, [])
-    assert g.volume_units == 1.0
     assert g.planes == []
 
 

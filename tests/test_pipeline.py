@@ -22,7 +22,6 @@ from specwin.pipeline import (
     occupancy_stats,
     parse_latency,
     processor_heuristic,
-    reaction_time,
     simulate,
     simulate_many,
     _Engine,
@@ -428,16 +427,6 @@ def test_occupancy_stats_by_hand():
     assert mean == pytest.approx((5 * 1 + 3 * 2) / 10)
 
 
-def test_reaction_time_accessor():
-    prog = builtin_program("repeated_t", 5, count=3)
-    res = simulate(prog, SimConfig(latency=LatencyModel.linear(0.4)))
-    blocking = [i for i, ins in enumerate(prog.instructions) if ins.blocking]
-    for gi in blocking:
-        assert reaction_time(res, gi) > 0
-    with pytest.raises(KeyError):
-        reaction_time(res, 999)
-
-
 def test_result_serializes_to_json():
     prog = builtin_program("toffoli", 5)
     res = simulate(prog, SimConfig(latency=LatencyModel.linear(0.5)))
@@ -593,6 +582,11 @@ def _two_buffer_source():
     return engine, src, dst, back
 
 
+def _plane(g, side):
+    """The window graph's boundary plane on ``side``."""
+    return next(p for p in g.planes if p.side is side)
+
+
 def _chain_toggles(g, plane, inner, outer):
     """Dependency bits on ``plane`` of a single matched chain inner-outer."""
     u, v = int(g.node_id(*inner)), int(g.node_id(*outer))
@@ -617,7 +611,7 @@ def _crossing(side, t, d, rounds):
 def test_injected_crossing_chain_toggles_matching_sink_node():
     engine, src, dst, back = _two_buffer_source()
     side, d, g = back.side.mirror, engine.d, src.graph
-    plane = g.planes[src.plane_tags.index(side)]
+    plane = _plane(g, side)
     t_global = max(src.win.t0, dst.win.t0)
     inner, outer = _crossing(side, t_global - src.win.t0, d, src.win.rounds)
     toggles = _chain_toggles(g, plane, inner, outer)
@@ -637,7 +631,7 @@ def test_chain_in_sources_other_buffer_is_dropped():
     # Across the spatial plane, but in the first round of the source's future
     # buffer: that round is inside the sink's commit, yet the crossing edge
     # is the next source cell's, not this one's.
-    plane = g.planes[src.plane_tags.index(spatial)]
+    plane = _plane(g, spatial)
     inner, outer = _crossing(spatial, rounds, d, rounds)
     assert 0 <= src.win.t0 + rounds - dst.win.t0 < dst.win.rounds
     (site,) = _chain_toggles(g, plane, inner, outer)
@@ -645,7 +639,7 @@ def test_chain_in_sources_other_buffer_is_dropped():
     # Across the future plane, but in the columns or rows of the spatial buffer.
     later = engine.cells[next(f.neighbor for f in src.win.sources if f.side is Side.FUTURE)]
     past = next(f for f in later.win.faces if f.neighbor == src.cid)
-    plane = g.planes[src.plane_tags.index(Side.FUTURE)]
+    plane = _plane(g, Side.FUTURE)
     inner, _ = _crossing(Side.FUTURE, 0, d, rounds)
     far = g.hi[spatial.axis] - 1 if spatial.direction > 0 else g.lo[spatial.axis]
     inner = list(inner)
