@@ -203,13 +203,12 @@ def cmd_predictor_eval(args: argparse.Namespace) -> int:
 def cmd_recovery_eval(args: argparse.Namespace) -> int:
     program = _load_program(args)
     print(f"{'recovery':>12} {'wasted':>10} {'valid':>10} {'mispred':>8}")
+    # The recovery scope only acts on mispredictions, and the 'auto' pool
+    # probe runs with perfect speculation, so one config per seed serves all.
+    cfgs = [_build_config(_with(args, seed=args.seed + s), program) for s in range(args.shots)]
     for rec in RECOVERY_STRATEGIES:
-        cfgs = [
-            _build_config(_with(args, recovery=rec, seed=args.seed + s), program)
-            for s in range(args.shots)
-        ]
         wasted, valid, mis = 0, 0, 0
-        for result in simulate_many(program, cfgs):
+        for result in simulate_many(program, [replace(cfg, recovery=rec) for cfg in cfgs]):
             wasted += result.wasted_compute
             valid += result.valid_compute
             mis += result.mispredictions

@@ -41,19 +41,19 @@ EAST = -2
 class BoundaryPlane:
     """Commit/buffer interface of one buffered face.
 
-    The plane cuts its axis between coordinates ``cut`` and ``cut + 1``;
-    ``node_layer`` is the commit-side coordinate, and ``nodes`` are the
-    commit-side cross-section (where crossing chains register toggles).
-    ``near_nodes`` spans two layers on each side of ``node_layer``.
+    ``node_layer`` is the commit-side coordinate along ``side.axis``: its
+    cross-section is where crossing chains register toggles, and the
+    buffer's first layer is ``node_layer + side.direction``.  The plane
+    cuts the axis between ``cut`` and ``cut + 1``.
     """
 
     id: int
     side: Side
-    cut: int
     node_layer: int
-    nodes: np.ndarray
-    crossing_edges: np.ndarray
-    near_nodes: np.ndarray
+
+    @property
+    def cut(self) -> int:
+        return min(self.node_layer, self.node_layer + self.side.direction)
 
 
 @dataclass
@@ -94,15 +94,15 @@ class DecodingGraph:
         if commit_rounds < 1:
             raise ValueError(f"commit_rounds must be >= 1, got {commit_rounds}")
         self.d = d
-        self.commit_rounds = commit_rounds
         self.sides = [Side.from_pair(b) for b in buffer_spec]
         if len(set(self.sides)) < len(self.sides):
             raise ValueError(f"duplicate buffer face in {list(buffer_spec)!r}")
 
-        rows, cols = d - 1, (d + 1) // 2
-        lo = {"t": 0, "row": 0, "col": 0}
-        hi = {"t": commit_rounds, "row": rows, "col": cols}
-        depth = {"t": d, "row": rows, "col": cols}
+        # The commit box spans [0, commit_hi[axis]) on each axis.
+        self.commit_hi = {"t": commit_rounds, "row": d - 1, "col": (d + 1) // 2}
+        lo = dict.fromkeys(AXES, 0)
+        hi = dict(self.commit_hi)
+        depth = {**self.commit_hi, "t": d}
         for side in self.sides:
             if side.direction > 0:
                 hi[side.axis] += depth[side.axis]
@@ -113,17 +113,32 @@ class DecodingGraph:
         self.node_count = self.extent["t"] * self.extent["row"] * self.extent["col"]
 
         self._build_edges()
-        self._build_planes()
+        self.planes = [
+            BoundaryPlane(i, side, self.commit_hi[side.axis] - 1 if side.direction > 0 else 0)
+            for i, side in enumerate(self.sides)
+        ]
         self._incidence = None
 
     # -- geometry ---------------------------------------------------------
 
     def node_id(self, t, r, c):
-        """Flat node index from (round, row, col) coordinates."""
+        """Flat node index from (round, row, col) coordinates.
+
+        Raises IndexError if any coordinate lies outside the box.
+        """
+        ext = self.extent
         nt = np.asarray(t) - self.lo["t"]
         nr = np.asarray(r) - self.lo["row"]
         nc = np.asarray(c) - self.lo["col"]
-        return (nt * self.extent["row"] + nr) * self.extent["col"] + nc
+        ids = (nt * ext["row"] + nr) * ext["col"] + nc
+        if isinstance(ids, np.ndarray):
+            inside = ((nt >= 0) & (nt < ext["t"]) & (nr >= 0) & (nr < ext["row"])
+                      & (nc >= 0) & (nc < ext["col"])).all()
+        else:
+            inside = 0 <= nt < ext["t"] and 0 <= nr < ext["row"] and 0 <= nc < ext["col"]
+        if not inside:
+            raise IndexError(f"coordinates ({t}, {r}, {c}) outside the window box")
+        return ids
 
     def node_coords(self, ids):
         ids = np.asarray(ids)
@@ -173,46 +188,7 @@ class DecodingGraph:
 
     def axis_coord(self, ids, axis):
         """Coordinate of nodes ``ids`` along ``axis`` ("t", "row" or "col")."""
-        t, r, c = self.node_coords(ids)
-        return {"t": t, "row": r, "col": c}[axis]
-
-    def _build_planes(self):
-        rows, cols = self.d - 1, (self.d + 1) // 2
-        commit_hi = {"t": self.commit_rounds, "row": rows, "col": cols}
-        self.planes: list[BoundaryPlane] = []
-        all_ids = np.arange(self.node_count)
-        for side in self.sides:
-            axis = side.axis
-            if side.direction > 0:
-                cut = commit_hi[axis] - 1
-                node_layer = cut
-            else:
-                cut = -1
-                node_layer = 0
-            coord_u = self.axis_coord(self.edges_u, axis)
-            real_v = self.edges_v >= 0
-            coord_v = np.where(
-                real_v, self.axis_coord(np.maximum(self.edges_v, 0), axis), coord_u
-            )
-            crossing = np.flatnonzero(
-                real_v
-                & (np.minimum(coord_u, coord_v) == cut)
-                & (np.maximum(coord_u, coord_v) == cut + 1)
-            )
-            coords = self.axis_coord(all_ids, axis)
-            nodes = all_ids[coords == node_layer]
-            near = all_ids[np.abs(coords - node_layer) <= 2]
-            self.planes.append(
-                BoundaryPlane(
-                    id=len(self.planes),
-                    side=side,
-                    cut=cut,
-                    node_layer=node_layer,
-                    nodes=nodes,
-                    crossing_edges=crossing,
-                    near_nodes=near,
-                )
-            )
+        return self.node_coords(ids)[AXES.index(axis)]
 
     # -- sampling ---------------------------------------------------------
 

@@ -934,21 +934,21 @@ class _Engine:
         layer.
         """
         t, r, c = (int(x) for x in src.graph.node_coords(nid))
-        rows, cols = self.d - 1, (self.d + 1) // 2
+        box = self._graph(dst).commit_hi
         side = f.side
         if side.axis == "t":
-            t = 0 if side.direction < 0 else dst.win.rounds - 1
+            t = 0 if side.direction < 0 else box["t"] - 1
         else:
-            if not 0 <= t < src.win.rounds:
+            if not 0 <= t < src.graph.commit_hi["t"]:
                 return None
             t += src.win.t0 - dst.win.t0
-            if not 0 <= t < dst.win.rounds:
+            if not 0 <= t < box["t"]:
                 return None
             if side.axis == "row":
-                r = 0 if side.direction < 0 else rows - 1
+                r = 0 if side.direction < 0 else box["row"] - 1
             else:
-                c = 0 if side.direction < 0 else cols - 1
-        if not (0 <= r < rows and 0 <= c < cols):
+                c = 0 if side.direction < 0 else box["col"] - 1
+        if not (0 <= r < box["row"] and 0 <= c < box["col"]):
             return None
         return (t, r, c)
 

@@ -12,8 +12,11 @@ number of sequential phases that does not depend on the code distance:
   counters are nonzero, and declaring zeroes them, so tightly coupled
   same-side pairs consume their nodes before a spurious crossing is
   reached.  Only declared crossing edges emit dependency bits.
-* 3-step additionally declares precomputed weight-2 chains across the
-  plane whose endpoint bits survived the 2-step resolution.
+* 3-step additionally declares weight-2 chains across the plane whose
+  endpoint bits survived the 2-step resolution.
+
+Each predictor reads the plane's geometry from the coordinates of the lit
+nodes it is given, so its work scales with the lit bits, not the plane.
 
 Counters are bounded by 1 + max degree = 7, so candidate sums span
 2..14 and the phase counts are 1, 1 + 13, and 1 + 13 + 1.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoding_graph import BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
+from .decoding_graph import AXES, BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
 from .decoding_graph import build_window_graph
 from .matching import ExactCapExceeded, crossing_site, decode, extract_dependency_bits
 
@@ -60,50 +63,6 @@ _W2_OFFSETS = (
 )
 
 
-class _PlaneGeometry:
-    """Shape-dependent lookup tables, cached per (graph, plane)."""
-
-    def __init__(self, g: DecodingGraph, plane: BoundaryPlane):
-        self.near_mask = np.zeros(g.node_count, dtype=bool)
-        self.near_mask[plane.near_nodes] = True
-        # Crossing edges, keyed by commit-side endpoint and by edge id.
-        self.partner: dict[int, int] = {}
-        self.commit_site: dict[int, int] = {}
-        axis = plane.side.axis
-        for eid in plane.crossing_edges:
-            eid = int(eid)
-            u, v = int(g.edges_u[eid]), int(g.edges_v[eid])
-            cu = int(g.axis_coord(u, axis))
-            commit, buf = (u, v) if cu == plane.node_layer else (v, u)
-            self.partner[commit] = buf
-            self.commit_site[eid] = commit
-        # Node pairs joined by a two-edge chain crossing the plane,
-        # stored under the lower node id with the chain's registration
-        # site on the canonical route.
-        self.w2: dict[int, list[tuple[int, int]]] = {}
-        for a in sorted(int(n) for n in plane.near_nodes):
-            ta, ra, ca = (int(x) for x in g.node_coords(a))
-            for dt, dr, dc in _W2_OFFSETS:
-                t, r, c = ta + dt, ra + dr, ca + dc
-                if not (
-                    g.lo["t"] <= t < g.hi["t"]
-                    and g.lo["row"] <= r < g.hi["row"]
-                    and g.lo["col"] <= c < g.hi["col"]
-                ):
-                    continue
-                b = int(g.node_id(t, r, c))
-                site = crossing_site(g, plane, a, b)
-                if site is not None:
-                    self.w2.setdefault(a, []).append((b, site))
-
-
-def _geometry(g: DecodingGraph, plane: BoundaryPlane) -> _PlaneGeometry:
-    cache = g.__dict__.setdefault("_plane_geometry_cache", {})
-    if plane.id not in cache:
-        cache[plane.id] = _PlaneGeometry(g, plane)
-    return cache[plane.id]
-
-
 @dataclass
 class BoundaryView:
     """Near-plane slice of one window's syndrome.
@@ -118,10 +77,10 @@ class BoundaryView:
 
 
 def boundary_view(g: DecodingGraph, plane: BoundaryPlane, s: Syndrome) -> BoundaryView:
-    geom = _geometry(g, plane)
+    """Lit nodes within two layers of the plane's node layer."""
     lit = s.lit()
-    near_lit = lit[geom.near_mask[lit]]
-    return BoundaryView(g, plane, {int(u): 1 for u in near_lit})
+    near = np.abs(g.axis_coord(lit, plane.side.axis) - plane.node_layer) <= 2
+    return BoundaryView(g, plane, dict.fromkeys(lit[near].tolist(), 1))
 
 
 @dataclass
@@ -145,12 +104,18 @@ def predict_1step(v: BoundaryView) -> Prediction:
     overlapping explanations are all declared (the over-matching this
     causes is the price of a single phase).
     """
-    geom = _geometry(v.g, v.plane)
+    g, plane = v.g, v.plane
+    k = AXES.index(plane.side.axis)
     declared = []
     toggles: dict[int, int] = {}
     for u in sorted(v.bits):
-        partner = geom.partner.get(u)
-        if partner is not None and partner in v.bits:
+        coords = [int(x) for x in g.node_coords(u)]
+        if coords[k] != plane.node_layer:
+            continue
+        # A commit-layer node's crossing edge leads one step into the buffer.
+        coords[k] += plane.side.direction
+        partner = int(g.node_id(*coords))
+        if partner in v.bits:
             declared.append(("edge", u, partner))
             toggles[u] = toggles.get(u, 0) ^ 1
     return Prediction(DependencyBits(v.plane.id, toggles), PHASES_1STEP, declared)
@@ -163,12 +128,11 @@ def _two_step(v: BoundaryView):
     copy of the bits; declaring a match zeroes both counters and both
     bits, consuming the nodes.
     """
-    geom = _geometry(v.g, v.plane)
     inc = v.g.incidence()
     edges: dict[int, tuple[int, int]] = {}
     for u in sorted(v.bits):
         for eid, w in inc[u]:
-            if w > u and geom.near_mask[w] and w in v.bits:
+            if w > u and w in v.bits:
                 edges[eid] = (u, w)
     counters = dict(v.bits)
     for u, w in edges.values():
@@ -189,7 +153,7 @@ def _two_step(v: BoundaryView):
                 counters[u] = counters[w] = 0
                 bits[u] = bits[w] = 0
                 declared.append(("edge", u, w))
-                site = geom.commit_site.get(eid)
+                site = crossing_site(v.g, v.plane, u, w)
                 if site is not None:
                     toggles[site] = toggles.get(site, 0) ^ 1
     return declared, bits, toggles
@@ -206,12 +170,20 @@ def predict_3step(v: BoundaryView) -> Prediction:
     Chain checks run simultaneously against the bits left by the 2-step
     pass, then consume them.
     """
-    geom = _geometry(v.g, v.plane)
+    g = v.g
     declared, bits, toggles = _two_step(v)
     snapshot = {u for u, b in bits.items() if b}
     for a in sorted(snapshot):
-        for b, site in geom.w2.get(a, ()):
-            if b in snapshot:
+        ta, ra, ca = (int(x) for x in g.node_coords(a))
+        for dt, dr, dc in _W2_OFFSETS:
+            try:
+                b = int(g.node_id(ta + dt, ra + dr, ca + dc))
+            except IndexError:
+                continue
+            if b not in snapshot:
+                continue
+            site = crossing_site(g, v.plane, a, b)
+            if site is not None:
                 declared.append(("chain", a, b))
                 toggles[site] = toggles.get(site, 0) ^ 1
     return Prediction(DependencyBits(v.plane.id, toggles), PHASES_3STEP, declared)

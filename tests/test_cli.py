@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from specwin import cli
 from specwin.cli import main
 from specwin.pipeline import LatencyModel, SimConfig, simulate
 from specwin.program import builtin_program, serialize_program
@@ -213,6 +214,39 @@ def test_recovery_eval_table_matches_serial_runs(capsys):
         mis = sum(r.mispredictions for r in runs)
         lines.append(f"{rec:>12} {wasted / 7:>10.1f} {valid / 7:>10.1f} {mis / 7:>8.2f}")
     assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_recovery_eval_probes_the_pool_once_per_seed(monkeypatch, capsys):
+    probed = []
+    heuristic = cli.processor_heuristic
+
+    def counting(program, cfg):
+        probed.append(cfg.seed)
+        return heuristic(program, cfg)
+
+    monkeypatch.setattr(cli, "processor_heuristic", counting)
+    rc = main(
+        [
+            "recovery-eval",
+            "--builtin",
+            "zigzag_chain",
+            "--d",
+            "3",
+            "--count",
+            "6",
+            "--spec",
+            "stochastic",
+            "--processors",
+            "auto",
+            "--shots",
+            "3",
+            "--seed",
+            "5",
+        ]
+    )
+    assert rc == 0
+    assert probed == [5, 6, 7]
+    assert len(capsys.readouterr().out.splitlines()) == 4
 
 
 def test_processors_report(capsys):

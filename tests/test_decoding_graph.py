@@ -143,24 +143,41 @@ def test_distances_match_bfs():
 
 
 def test_plane_geometry():
-    g = build_window_graph(5, 5, [("temporal", "future"), ("spatial", "east")])
     rows, cols = 4, 3
+    g = build_window_graph(5, 5, [("temporal", "future"), ("spatial", "east")])
     temporal, spatial = g.planes
-    # Temporal plane: one full cross-section, crossing edges one per site.
-    per_layer = rows * (cols + cols)
-    assert temporal.nodes.size == per_layer
-    assert temporal.crossing_edges.size == per_layer
-    t, _, _ = g.node_coords(temporal.nodes)
-    assert (t == 4).all()
-    # Spatial plane: col cut at the commit edge.
-    _, _, c = g.node_coords(spatial.nodes)
-    assert (c == cols - 1).all()
-    for p in g.planes:
-        assert set(p.nodes.tolist()) <= set(p.near_nodes.tolist())
-        u = g.edges_u[p.crossing_edges]
-        v = g.edges_v[p.crossing_edges]
-        assert (v >= 0).all()
-        cu = g.node_coords(u)[{"t": 0, "row": 1, "col": 2}[p.side.axis]]
-        cv = g.node_coords(v)[{"t": 0, "row": 1, "col": 2}[p.side.axis]]
-        assert (np.minimum(cu, cv) == p.cut).all()
-        assert (np.maximum(cu, cv) == p.cut + 1).all()
+    assert (temporal.node_layer, temporal.cut) == (4, 4)
+    assert (spatial.node_layer, spatial.cut) == (cols - 1, cols - 1)
+    past = build_window_graph(5, 5, [("temporal", "past"), ("spatial", "west")])
+    assert all((p.node_layer, p.cut) == (0, -1) for p in past.planes)
+    # One crossing edge per commit-layer node, cutting the axis at ``cut``.
+    per_layer = {"t": rows * (cols + cols), "col": (5 + 5) * rows}
+    for gg in (g, past):
+        real = gg.edges_v >= 0
+        u, v = gg.edges_u[real], gg.edges_v[real]
+        all_ids = np.arange(gg.node_count)
+        for p in gg.planes:
+            cu = gg.axis_coord(u, p.side.axis)
+            cv = gg.axis_coord(v, p.side.axis)
+            crossing = (np.minimum(cu, cv) == p.cut) & (np.maximum(cu, cv) == p.cut + 1)
+            commit = np.where(cu == p.node_layer, u, v)[crossing]
+            layer = all_ids[gg.axis_coord(all_ids, p.side.axis) == p.node_layer]
+            assert commit.size == layer.size == per_layer[p.side.axis]
+            assert sorted(commit.tolist()) == layer.tolist()
+
+
+def test_node_id_rejects_coordinates_outside_the_box():
+    g = build_window_graph(5, 3, [("temporal", "past"), ("spatial", "east")])
+    first = [g.lo[a] for a in ("t", "row", "col")]
+    last = [g.hi[a] - 1 for a in ("t", "row", "col")]
+    assert g.node_id(*first) == 0
+    assert g.node_id(*last) == g.node_count - 1
+    assert g.node_id(*([x, y] for x, y in zip(first, last))).tolist() == [0, g.node_count - 1]
+    for k in range(3):
+        for corner, step in ((first, -1), (last, 1)):
+            past = list(corner)
+            past[k] += step
+            with pytest.raises(IndexError):
+                g.node_id(*past)
+            with pytest.raises(IndexError):
+                g.node_id(*(np.array([x, y]) for x, y in zip(corner, past)))

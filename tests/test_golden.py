@@ -1,4 +1,5 @@
-"""Golden results: sha256 digests over ``to_json()`` of fixed d=3 run matrices.
+"""Golden results: sha256 digests over ``to_json()`` of fixed d=3 run matrices,
+and over the predictors' output on fixed sampled windows.
 
 The digests pin every field of every result, so a refactor that claims to
 leave the simulator's output unchanged must leave them unchanged.  A change
@@ -7,7 +8,11 @@ that moves them on purpose changes what specwin computes and must say why.
 import hashlib
 import json
 
+import numpy as np
+
+from specwin.decoding_graph import build_window_graph
 from specwin.pipeline import LatencyModel, SimConfig, simulate
+from specwin.predictor import PREDICTORS, boundary_view, evaluate_predictors
 from specwin.program import builtin_program
 from specwin.windowing import STRATEGIES
 
@@ -44,6 +49,17 @@ LIMITED = (
 
 UNLIMITED_SHA256 = "fcf0de5cfa052a71c3fb5315591bc800b799b44135970541c3cc75e86d6d6bfe"
 LIMITED_SHA256 = "95935a4464b0e284b161739221c828e398825ce22c542511387d8aa9e7cd8d4a"
+PREDICTOR_SHA256 = "8c219b38b5f4687b134f4b86712414723528423e493665f2db9e989582aae51c"
+
+# Window shapes for the predictor digest: every face, alone and combined.
+FACE_SETS = (
+    [("temporal", "future")],
+    [("temporal", "past")],
+    [("spatial", "east")],
+    [("spatial", "west")],
+    [("spatial", "north"), ("temporal", "future")],
+    [("spatial", "south"), ("spatial", "east"), ("temporal", "past"), ("spatial", "west")],
+)
 
 
 def _digest(runs) -> str:
@@ -97,3 +113,32 @@ def test_unlimited_pool_results_are_unchanged():
 
 def test_limited_pool_results_are_unchanged():
     assert _digest(limited_runs()) == LIMITED_SHA256
+
+
+def predictor_records():
+    for d in (5, 9, 13):
+        yield evaluate_predictors(d, 5e-3, 30, seed=d)
+    for d in (3, 5, 7):
+        for rounds in (1, 2, d):
+            for k, faces in enumerate(FACE_SETS):
+                g = build_window_graph(d, rounds, faces)
+                rng = np.random.default_rng([d, rounds, k])
+                for shot in range(6):
+                    _, syn = g.sample_errors((0.02, 0.06)[shot % 2], rng)
+                    for plane in g.planes:
+                        view = boundary_view(g, plane, syn)
+                        for name, fn in PREDICTORS.items():
+                            pred = fn(view)
+                            yield [
+                                d, rounds, k, shot, plane.id, name,
+                                sorted(pred.bits.nonzero().items()),
+                                pred.declared,
+                                pred.phases_executed,
+                            ]
+
+
+def test_predictor_results_are_unchanged():
+    h = hashlib.sha256()
+    for rec in predictor_records():
+        h.update(json.dumps(rec).encode())
+    assert h.hexdigest() == PREDICTOR_SHA256

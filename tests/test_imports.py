@@ -1,5 +1,5 @@
 """Module boundaries: no specwin module imports another one's private names
-or reaches into another object's private attributes."""
+or reaches into another object's private attributes or ``__dict__``."""
 import ast
 from pathlib import Path
 
@@ -25,10 +25,13 @@ def _is_private(name: str) -> bool:
 
 
 def private_attributes(path: Path) -> list[str]:
-    """``x._name`` accesses on anything but ``self`` or ``cls``, as text."""
+    """``x._name`` and ``x.__dict__`` accesses on anything but ``self`` or
+    ``cls``, as text."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if not isinstance(node, ast.Attribute) or not _is_private(node.attr):
+        if not isinstance(node, ast.Attribute):
+            continue
+        if not (_is_private(node.attr) or node.attr == "__dict__"):
             continue
         if isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
             continue
@@ -60,9 +63,22 @@ def test_detects_a_private_attribute(tmp_path):
     path.write_text(
         "g._cache = {}\n"
         "x = g.axis._coord(1)\n"
-        "y = self._ok + cls._ok + g.__dict__ + Side.NORTH._value_ + g.public\n"
+        "y = self._ok + cls._ok + g.__doc__ + Side.NORTH._value_ + g.public\n"
     )
     assert private_attributes(path) == [
         "mod.py:1 g._cache",
         "mod.py:2 g.axis._coord",
+    ]
+
+
+def test_detects_a_foreign_dict(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        'cache = g.__dict__.setdefault("_cache", {})\n'
+        "a = self.__dict__ | cls.__dict__ | vars(args)\n"
+        "b = g.graph.__dict__\n"
+    )
+    assert sorted(private_attributes(path)) == [
+        "mod.py:1 g.__dict__",
+        "mod.py:3 g.graph.__dict__",
     ]
