@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding_graph import (
-    EAST,
     WEST,
     BoundaryPlane,
     DecodingGraph,
@@ -32,7 +31,6 @@ __all__ = [
     "ExactCapExceeded",
     "decode",
     "extract_dependency_bits",
-    "path_edges",
     "crossing_site",
 ]
 
@@ -139,7 +137,7 @@ def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
             raise ExactCapExceeded(
                 f"cluster of {len(members)} defects exceeds cap {cap}"
             )
-        w, local = _enumerate_cluster(tuple(sorted(members)), dmat, bdist)
+        w, local = _enumerate_cluster(frozenset(members), dmat, bdist, {})
         weight += w
         for i, j in local:
             if j < 0:
@@ -149,83 +147,30 @@ def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
     return pairs, weight
 
 
-def _enumerate_cluster(members, dmat, bdist):
-    memo: dict[frozenset, tuple[int, tuple]] = {}
-
-    def rec(remaining: frozenset):
-        if not remaining:
-            return 0, ()
-        key = remaining
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        u = min(remaining)
-        rest = remaining - {u}
-        w0, p0 = rec(rest)
-        best = (int(bdist[u]) + w0, ((u, -1),) + p0)
-        for v in sorted(rest):
-            w1, p1 = rec(rest - {v})
-            w = int(dmat[u, v]) + w1
-            if w < best[0]:
-                best = (w, ((u, v),) + p1)
-        memo[key] = best
-        return best
-
-    return rec(frozenset(members))
+def _enumerate_cluster(remaining: frozenset, dmat, bdist, memo: dict):
+    """Minimum (weight, pairs) over pairings of the ``remaining`` defect
+    indices, each with a partner or the boundary (-1); ``memo`` caches
+    solved subsets."""
+    if not remaining:
+        return 0, ()
+    hit = memo.get(remaining)
+    if hit is not None:
+        return hit
+    u = min(remaining)
+    rest = remaining - {u}
+    w0, p0 = _enumerate_cluster(rest, dmat, bdist, memo)
+    best = (int(bdist[u]) + w0, ((u, -1),) + p0)
+    for v in sorted(rest):
+        w1, p1 = _enumerate_cluster(rest - {v}, dmat, bdist, memo)
+        w = int(dmat[u, v]) + w1
+        if w < best[0]:
+            best = (w, ((u, v),) + p1)
+    memo[remaining] = best
+    return best
 
 
 # ---------------------------------------------------------------------------
-# Canonical paths and crossing registration
-
-
-def path_edges(g: DecodingGraph, u: int, v: int) -> list[int]:
-    """Edge ids of the canonical path between u and v (or to a boundary).
-
-    v may be WEST or EAST.  The route from the lower-id endpoint walks
-    rows, then columns, then rounds; boundary routes walk columns only.
-    """
-    index = _edge_index(g)
-    if v < 0:
-        t, r, c = (int(x) for x in g.node_coords(u))
-        edges = []
-        if v == WEST:
-            for cc in range(c, g.lo["col"], -1):
-                edges.append(index[_ekey(g, (t, r, cc - 1), (t, r, cc))])
-            edges.append(index[(int(g.node_id(t, r, g.lo["col"])), WEST)])
-        else:
-            for cc in range(c, g.hi["col"] - 1):
-                edges.append(index[_ekey(g, (t, r, cc), (t, r, cc + 1))])
-            edges.append(index[(int(g.node_id(t, r, g.hi["col"] - 1)), EAST)])
-        return edges
-    a, b = min(u, v), max(u, v)
-    ta, ra, ca = (int(x) for x in g.node_coords(a))
-    tb, rb, cb = (int(x) for x in g.node_coords(b))
-    edges = []
-    step = 1 if rb >= ra else -1
-    for r in range(ra, rb, step):
-        edges.append(index[_ekey(g, (ta, r, ca), (ta, r + step, ca))])
-    step = 1 if cb >= ca else -1
-    for c in range(ca, cb, step):
-        edges.append(index[_ekey(g, (ta, rb, c), (ta, rb, c + step))])
-    for t in range(ta, tb):
-        edges.append(index[_ekey(g, (t, rb, cb), (t + 1, rb, cb))])
-    return edges
-
-
-def _ekey(g, coord_a, coord_b):
-    ia = int(g.node_id(*coord_a))
-    ib = int(g.node_id(*coord_b))
-    return (min(ia, ib), max(ia, ib))
-
-
-def _edge_index(g: DecodingGraph) -> dict:
-    """Edge id by endpoint pair: (low, high) for real edges, (u, boundary)."""
-    index = {}
-    for e in range(g.edge_count):
-        u = int(g.edges_u[e])
-        v = int(g.edges_v[e])
-        index[(min(u, v), max(u, v)) if v >= 0 else (u, v)] = e
-    return index
+# Crossing registration on the canonical path
 
 
 def crossing_site(g, plane: BoundaryPlane, u: int, v: int):

@@ -6,6 +6,12 @@ input boundary bits are available (verified, or speculated when enabled),
 and blocking instructions stall their patches until every covering cell
 is decoded and verified.  Reported reaction times, compute volumes, and
 the executed timeline come straight out of the event loop.
+
+Speculation state is kept per face, and a face is named by its (source,
+sink) cell pair.  A cell's consumers and the tasks still waiting on its
+verification are read off its faces and its neighbours' current tasks.  A
+cell can have two faces on one side when neighbouring patches' tilings are
+offset; each face is judged on its own.
 """
 
 from __future__ import annotations
@@ -342,25 +348,30 @@ def _overlapping(cells: list[_Cell], lo: int, hi: int) -> list[_Cell]:
     return [c for c in cells[i:] if c.win.t0 < hi]
 
 
-def _by_cid(cells) -> list:
-    """Cells in id order (sets of zero or one cell skip the sort)."""
-    if len(cells) < 2:
-        return list(cells)
-    return sorted(cells, key=lambda c: c.cid)
-
-
 class _Task:
-    """One decode attempt of a cell: its rounds, what it consumed, and,
-    once done, the speculative sources it still waits on."""
+    """One decode attempt of a cell: its rounds and what it consumed."""
 
-    __slots__ = ("start", "end", "attempt", "consumed", "pending")
+    __slots__ = ("start", "end", "attempt", "consumed")
 
     def __init__(self, start: int, end: int, attempt: int, consumed: tuple):
         self.start = start
         self.end = end
         self.attempt = attempt
         self.consumed = consumed  # (sink face, source cell, "verified" | "spec")
-        self.pending: set[_Cell] = set()
+
+    def speculated_on(self, src: _Cell) -> bool:
+        """Whether this task decoded on ``src``'s speculated bits."""
+        for _, s, mode in self.consumed:
+            if s is src:
+                return mode == "spec"
+        return False
+
+    def awaits_verification(self) -> bool:
+        """Whether a source this task speculated on is still unverified."""
+        for _, src, mode in self.consumed:
+            if mode == "spec" and src.verified_at is None:
+                return True
+        return False
 
 
 class _Cell:
@@ -368,8 +379,8 @@ class _Cell:
 
     __slots__ = (
         "win", "cid", "key", "vgen", "gen_time", "spec_time", "verified_at",
-        "running", "done", "queued", "attempts", "first_start", "waiters",
-        "spec_consumers", "hooks", "graph", "synd", "pred", "truth",
+        "running", "done", "queued", "attempts", "first_start", "hooks",
+        "graph", "synd", "pred", "truth",
     )
 
     def __init__(self, win: WindowCell, key: tuple[int, int, int]):
@@ -385,26 +396,24 @@ class _Cell:
         self.queued = False
         self.attempts = 0
         self.first_start: int | None = None
-        self.waiters: set[_Cell] = set()
-        self.spec_consumers: dict[Side, set[_Cell]] = {}
         self.hooks: list[_Release] = []
         self.graph = None
         self.synd = None
+        # One boundary plane per source side, shared by faces on that side.
         self.pred: dict[Side, Any] = {}
         self.truth: dict[Side, Any] = {}
 
 
 class _Release:
-    """Pending release of one blocking instruction."""
+    """Release of one blocking instruction: it resolves, and ``resume`` is
+    set, once every covering cell is verified."""
 
-    __slots__ = ("gi", "t_b", "pending", "release", "resolved", "resume")
+    __slots__ = ("gi", "t_b", "cells", "resume")
 
     def __init__(self, gi: int, t_b: int):
         self.gi = gi
         self.t_b = t_b
-        self.pending: set[_Cell] = set()
-        self.release = t_b
-        self.resolved = False
+        self.cells: list[_Cell] = []
         self.resume: int | None = None
 
 
@@ -447,7 +456,6 @@ class _Engine:
         self.reactions: list[tuple[int, int]] = []
 
         self.cells: list[_Cell] = []
-        self.spatial_pairs: set[tuple[int, int]] = set()
         self.heap: list = []
         self.seq = 0
         self.clock = 0
@@ -457,7 +465,7 @@ class _Engine:
         self.valid = 0
         self.wasted = 0
         self.mispredictions = 0
-        self.wrong_faces: set[tuple[int, Side]] = set()
+        self.wrong_faces: set[tuple[int, int]] = set()  # (source cid, sink cid)
         self._need_sweep = False
 
     # -- rng streams --------------------------------------------------------
@@ -551,12 +559,8 @@ class _Engine:
             for cb in cbs:
                 lo = max(ca.win.t0, cb.win.t0, w_start)
                 hi = min(ca.win.t1, cb.win.t1, w_end)
-                if lo >= hi:
+                if lo >= hi or cb.cid in [f.neighbor for f in ca.win.faces]:
                     continue
-                pair = (ca.cid, cb.cid)
-                if pair in self.spatial_pairs:
-                    continue
-                self.spatial_pairs.add(pair)
                 self._attach(ca, cb, side)
 
     # -- instruction scheduling ---------------------------------------------
@@ -591,7 +595,7 @@ class _Engine:
             and self.instructions[ins.conditional_on].blocking
         ):
             rel = self.releases.get(ins.conditional_on)
-            if rel is None or not rel.resolved:
+            if rel is None or rel.resume is None:
                 return False
             cands.append(rel.resume)
         self._commit(gi, ins, max(cands))
@@ -627,7 +631,7 @@ class _Engine:
             rel = _Release(gi, end)
             for q in ins.patches:
                 for cell in _overlapping(self.pstate[q].cells, start, end):
-                    rel.pending.add(cell)
+                    rel.cells.append(cell)
                     cell.hooks.append(rel)
             self.releases[gi] = rel
 
@@ -665,10 +669,10 @@ class _Engine:
         cell.spec_time = self.clock
         if self.cfg.speculation == "integrated":
             self._integrated_predict(cell)
-        waiters = _by_cid(cell.waiters)
-        cell.waiters.clear()
-        for w in waiters:
-            self._try_start(w)
+        # Retry the cells across the source faces; one waiting on another
+        # source stays waiting.
+        for nid in sorted([f.neighbor for f in cell.win.sources]):
+            self._try_start(self.cells[nid])
         self._dispatch()
 
     # -- decode task lifecycle ----------------------------------------------
@@ -690,7 +694,6 @@ class _Engine:
             elif self.spec_on and src.spec_time is not None:
                 consumed.append((f, src, "spec"))
             else:
-                src.waiters.add(cell)
                 return
         if self.cfg.processors is not None and self.running_count >= self.cfg.processors:
             cell.queued = True
@@ -709,9 +712,6 @@ class _Engine:
         if cell.first_start is None:
             cell.first_start = now
         cell.running = _Task(now, now + dur, attempt, tuple(consumed))
-        for f, src, mode in consumed:
-            if mode == "spec":
-                src.spec_consumers.setdefault(f.side.mirror, set()).add(cell)
         self.running_count += 1
         self.occupancy.append((now, self.running_count))
         self._push(now + dur, _PH_DONE, cell.cid, attempt)
@@ -723,11 +723,6 @@ class _Engine:
             cell = self.queue.popleft()
             cell.queued = False
             self._try_start(cell)
-
-    def _unbind(self, cell: _Cell, consumed: tuple) -> None:
-        for f, src, mode in consumed:
-            if mode == "spec":
-                src.spec_consumers.get(f.side.mirror, set()).discard(cell)
 
     def _stop(self, cell: _Cell) -> _Task:
         """Take the cell's running task off its processor."""
@@ -743,11 +738,8 @@ class _Engine:
         if task is None or task.attempt != attempt:
             return
         self._stop(cell)
-        task.pending = {
-            src for _, src, mode in task.consumed if mode == "spec" and src.verified_at is None
-        }
         cell.done = task
-        if not task.pending:
+        if not task.awaits_verification():
             self._verify_cascade(cell)
         self._dispatch()
 
@@ -758,67 +750,65 @@ class _Engine:
         while work:
             cell = work.popleft()
             task = cell.done
-            if cell.verified_at is not None or task is None or task.pending:
+            if cell.verified_at is not None or task is None or task.awaits_verification():
                 continue
             cell.done = None
             cell.verified_at = self.clock
             self.valid += task.end - task.start
             for rel in cell.hooks:
-                self._note_release(rel, self.clock)
+                self._note_release(rel)
             wrongs = self._judge_speculation(cell, task.consumed)
-            for tag in wrongs:
-                self.wrong_faces.add((cell.cid, tag))
+            for f in wrongs:
+                self.wrong_faces.add((cell.cid, f.neighbor))
                 self.mispredictions += 1
-            for tag in wrongs:
-                self._recover(cell, tag)
-            # Consumers of this cell's speculation that finished decoding are
-            # waiting on its verification.
-            children = _by_cid(
-                {c for cs in cell.spec_consumers.values() for c in cs if c.done is not None}
-            )
-            # A verified cell's bits are final, so nothing can roll its
-            # consumers back; dropping them also breaks the cell <-> consumer
-            # cycles, letting finished runs free without the cycle collector.
-            cell.spec_consumers.clear()
-            for child in children:
-                child.done.pending.discard(cell)
-                if not child.done.pending:
+            for f in wrongs:
+                self._recover(cell, f)
+            # A consumer that finished decoding did so on this cell's
+            # speculation and may now verify; the others are retried.
+            for nid in sorted([f.neighbor for f in cell.win.sources]):
+                child = self.cells[nid]
+                if child.done is None:
+                    self._try_start(child)
+                elif not child.done.awaits_verification():
                     work.append(child)
-            for w in _by_cid(cell.waiters):
-                self._try_start(w)
-            cell.waiters.clear()
         self._dispatch()
         if self._need_sweep:
             self._need_sweep = False
             self._sweep()
 
-    def _judge_speculation(self, cell: _Cell, consumed: tuple) -> list[Side]:
-        """Faces whose speculated bits were wrong, given the verified task's
-        ``consumed`` inputs."""
+    def _judge_speculation(self, cell: _Cell, consumed: tuple) -> list[Face]:
+        """Source faces whose speculated bits were wrong, given the verified
+        task's ``consumed`` inputs."""
         if not self.spec_on:
             return []
         if self.cfg.speculation == "integrated":
             self._integrated_truth(cell, consumed)
-            return sorted(
-                tag for tag, pred in cell.pred.items() if pred != cell.truth[tag]
-            )
+            # Faces on one side are judged by that side's plane; a cell that
+            # verified before publishing predicted nothing.
+            pred, truth = cell.pred, cell.truth
+            return [f for f in cell.win.sources if pred and pred[f.side] != truth[f.side]]
         if cell.spec_time is None:
             return []
         wrongs = []
+        side, k = None, 0
         for f in cell.win.sources:
-            tag = f.side
-            u = self._uniform(_SPEC, *cell.key, tag)
+            # The second and later faces on a side draw under an extra index.
+            k = k + 1 if f.side is side else 0
+            side = f.side
+            ids = (*cell.key, side, k) if k else (*cell.key, side)
+            u = self._uniform(_SPEC, *ids)
             thr = self.cfg.accuracy
             if self.wrong_faces and not self.wrong_faces.isdisjoint(
                 self._adjacent_faces(cell, f)
             ):
                 thr = self.cfg.accuracy_adjacent
             if u > thr:
-                wrongs.append(tag)
+                wrongs.append(f)
         return wrongs
 
-    def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, Side]]:
-        """Identities (owner cell, owner side) of faces meeting f at a corner."""
+    def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, int]]:
+        """(source cid, sink cid) of the faces meeting ``cell``'s face ``f``
+        at a corner."""
         out: set[tuple[int, int]] = set()
         nbr = self.cells[f.neighbor]
         for z in (cell, nbr):
@@ -826,36 +816,46 @@ class _Engine:
                 if g.side.axis == f.side.axis:
                     continue
                 if g.kind == "source":
-                    out.add((z.cid, g.side))
+                    out.add((z.cid, g.neighbor))
                 else:
-                    out.add((g.neighbor, g.side.mirror))
+                    out.add((g.neighbor, z.cid))
         return out
 
-    def _note_release(self, rel: _Release, now: int) -> None:
-        if rel.resolved:
+    def _note_release(self, rel: _Release) -> None:
+        if rel.resume is not None:
             return
-        rel.release = max(rel.release, now)
-        rel.pending = {c for c in rel.pending if c.verified_at is None}
-        if rel.pending:
-            return
-        rel.resolved = True
-        reaction = rel.release - rel.t_b
+        latest = rel.t_b
+        for c in rel.cells:
+            if c.verified_at is None:
+                return
+            if c.verified_at > latest:
+                latest = c.verified_at
+        # Resolved: the release no longer needs its cells, and dropping them
+        # keeps cells and releases free of reference cycles.
+        rel.cells = []
+        reaction = latest - rel.t_b
         self.reactions.append((rel.gi, reaction))
-        blocks = (max(0, reaction) + 2 * self.d - 1) // (2 * self.d)
+        blocks = (reaction + 2 * self.d - 1) // (2 * self.d)
         rel.resume = rel.t_b + 2 * self.d * blocks
         self._need_sweep = True
 
-    def _recover(self, src: _Cell, tag: Side) -> None:
-        targets = set(src.spec_consumers.get(tag, ()))
+    def _recover(self, src: _Cell, face: Face) -> None:
+        owners = [(src, face.neighbor)]
         if self.cfg.recovery in ("adjacent", "pessimistic"):
-            face = next(f for f in src.win.sources if f.side == tag)
-            for oid, otag in self._adjacent_faces(src, face):
+            for oid, sid in self._adjacent_faces(src, face):
                 owner = self.cells[oid]
                 if owner.verified_at is None:
-                    targets |= owner.spec_consumers.get(otag, set())
+                    owners.append((owner, sid))
+        # The consumer across a face, while its task speculated on the owner.
+        targets: dict[int, _Cell] = {}
+        for owner, sid in owners:
+            sink = self.cells[sid]
+            task = sink.running or sink.done
+            if task is not None and task.speculated_on(owner):
+                targets[sid] = sink
         if self.cfg.recovery == "pessimistic":
-            frontier = list(targets)
-            seen = {c.cid for c in targets}
+            frontier = list(targets.values())
+            seen = set(targets)
             while frontier:
                 cur = frontier.pop()
                 for f in cur.win.sources:
@@ -865,20 +865,19 @@ class _Engine:
                     seen.add(child.cid)
                     frontier.append(child)
                     if child.verified_at is None and (child.running or child.done):
-                        targets.add(child)
+                        targets[child.cid] = child
         now = self.clock
-        for cell in _by_cid(targets):
+        for cid in sorted(targets):
+            cell = targets[cid]
             if cell.verified_at is not None:
                 continue
             if cell.running is not None:
                 task = self._stop(cell)
                 self.wasted += now - task.start
-                self._unbind(cell, task.consumed)
             elif cell.done is not None:
                 task = cell.done
                 self.wasted += task.end - task.start
                 cell.done = None
-                self._unbind(cell, task.consumed)
             else:
                 continue
             self._try_start(cell)
@@ -888,9 +887,9 @@ class _Engine:
 
     def _graph(self, cell: _Cell):
         if cell.graph is None:
-            cell.graph = build_window_graph(
-                self.d, cell.win.rounds, [f.side.pair for f in cell.win.sources]
-            )
+            # One buffer per side, however many faces lie on it.
+            sides = dict.fromkeys(f.side.pair for f in cell.win.sources)
+            cell.graph = build_window_graph(self.d, cell.win.rounds, list(sides))
         return cell.graph
 
     def _ensure_synd(self, cell: _Cell) -> None:

@@ -2,7 +2,9 @@
 
 The minimum-weight oracle here is an independent brute force: pairing
 enumeration by plain recursion over BFS distances computed from the edge
-list, with no clustering or memoization.
+list, with no clustering or memoization.  The reference router
+``path_edges`` walks a matched pair's canonical path edge by edge, for the
+checks of the closed-form ``crossing_site``.
 """
 import collections
 import itertools
@@ -11,12 +13,60 @@ import numpy as np
 import pytest
 
 from specwin.decoding_graph import EAST, WEST, Syndrome, build_window_graph
-from specwin.matching import (
-    ExactCapExceeded,
-    decode,
-    extract_dependency_bits,
-    path_edges,
-)
+from specwin.matching import ExactCapExceeded, decode, extract_dependency_bits
+
+
+# -- reference router: the canonical path of a matched pair, edge by edge --
+
+
+def path_edges(g, u: int, v: int) -> list[int]:
+    """Edge ids of the canonical path between u and v (or to a boundary).
+
+    v may be WEST or EAST.  The route from the lower-id endpoint walks
+    rows, then columns, then rounds; boundary routes walk columns only.
+    """
+    index = _edge_index(g)
+    if v < 0:
+        t, r, c = (int(x) for x in g.node_coords(u))
+        edges = []
+        if v == WEST:
+            for cc in range(c, g.lo["col"], -1):
+                edges.append(index[_ekey(g, (t, r, cc - 1), (t, r, cc))])
+            edges.append(index[(int(g.node_id(t, r, g.lo["col"])), WEST)])
+        else:
+            for cc in range(c, g.hi["col"] - 1):
+                edges.append(index[_ekey(g, (t, r, cc), (t, r, cc + 1))])
+            edges.append(index[(int(g.node_id(t, r, g.hi["col"] - 1)), EAST)])
+        return edges
+    a, b = min(u, v), max(u, v)
+    ta, ra, ca = (int(x) for x in g.node_coords(a))
+    tb, rb, cb = (int(x) for x in g.node_coords(b))
+    edges = []
+    step = 1 if rb >= ra else -1
+    for r in range(ra, rb, step):
+        edges.append(index[_ekey(g, (ta, r, ca), (ta, r + step, ca))])
+    step = 1 if cb >= ca else -1
+    for c in range(ca, cb, step):
+        edges.append(index[_ekey(g, (ta, rb, c), (ta, rb, c + step))])
+    for t in range(ta, tb):
+        edges.append(index[_ekey(g, (t, rb, cb), (t + 1, rb, cb))])
+    return edges
+
+
+def _ekey(g, coord_a, coord_b):
+    ia = int(g.node_id(*coord_a))
+    ib = int(g.node_id(*coord_b))
+    return (min(ia, ib), max(ia, ib))
+
+
+def _edge_index(g) -> dict:
+    """Edge id by endpoint pair: (low, high) for real edges, (u, boundary)."""
+    index = {}
+    for e in range(g.edge_count):
+        u = int(g.edges_u[e])
+        v = int(g.edges_v[e])
+        index[(min(u, v), max(u, v)) if v >= 0 else (u, v)] = e
+    return index
 
 
 def bfs_all(g):

@@ -1,5 +1,6 @@
 """Tests for the pipeline simulator."""
 
+import gc
 import json
 import math
 import os
@@ -14,6 +15,8 @@ from hypothesis import strategies as st
 from specwin.decoding_graph import Syndrome
 from specwin.matching import decode, extract_dependency_bits
 from specwin.pipeline import (
+    RECOVERY_STRATEGIES,
+    SPECULATION_MODES,
     CellRecord,
     LatencyModel,
     SimConfig,
@@ -33,7 +36,7 @@ from specwin.program import (
     Program,
     builtin_program,
 )
-from specwin.windowing import Side
+from specwin.windowing import STRATEGIES, Side
 
 
 def idle_program(d: int, rounds: int) -> Program:
@@ -647,6 +650,121 @@ def test_chain_in_sources_other_buffer_is_dropped():
     inner, outer = tuple(inner), (inner[0] + 1, inner[1], inner[2])
     (site,) = _chain_toggles(g, plane, inner, outer)
     assert engine._project(past, src, later, site) is None
+
+
+# -- faces and references ----------------------------------------------------
+
+
+def offset_merge_program() -> Program:
+    """Two patches whose tilings are offset by one round: under parallel and
+    aligned ownership a cell of (0, 1) owns two WEST faces."""
+    return Program(
+        distance=3,
+        grid=(1, 2),
+        instructions=[
+            Instruction(InstructionKind.IDLE, [(0, 0)], 0, 1),
+            Instruction(InstructionKind.MERGE_ZZ, [(0, 0), (0, 1)], 1, 12),
+            Instruction(InstructionKind.IDLE, [(0, 0)], 13, 2),
+        ],
+    )
+
+
+def west_sources(cell) -> list:
+    return [f for f in cell.win.sources if f.side is Side.WEST]
+
+
+@pytest.mark.parametrize("spec", SPECULATION_MODES)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_two_source_faces_on_one_side(strategy, spec):
+    prog = offset_merge_program()
+    for recovery in RECOVERY_STRATEGIES:
+        cfg = SimConfig(
+            strategy=strategy,
+            speculation=spec,
+            recovery=recovery,
+            latency=LatencyModel.fixed(2),
+            seed=1,
+            noise_p=2e-2,
+        )
+        engine = _Engine(prog, cfg)
+        res = engine.run()
+        doubled = [c for c in engine.cells if len(west_sources(c)) == 2]
+        assert bool(doubled) == (strategy != "sliding")
+        check_timeline(prog, res)
+        assert occupancy_area(res) == res.valid_compute + res.wasted_compute
+        assert res.to_json() == simulate(prog, cfg).to_json()
+
+
+def test_faces_on_one_side_are_judged_independently():
+    prog = offset_merge_program()
+    split = 0
+    for seed in range(50):
+        cfg = SimConfig(
+            strategy="parallel",
+            speculation="stochastic",
+            accuracy=0.5,
+            accuracy_adjacent=0.5,
+            latency=LatencyModel.fixed(2),
+            seed=seed,
+        )
+        engine = _Engine(prog, cfg)
+        judge = engine._judge_speculation
+        judged = {}
+
+        def record(cell, consumed):
+            judged[cell.cid] = judge(cell, consumed)
+            return judged[cell.cid]
+
+        engine._judge_speculation = record
+        engine.run()
+        for cell in engine.cells:
+            faces = west_sources(cell)
+            if len(faces) == 2:
+                wrong = [any(g is f for g in judged[cell.cid]) for f in faces]
+                assert wrong == [(cell.cid, f.neighbor) in engine.wrong_faces for f in faces]
+                split += wrong[0] != wrong[1]
+    assert split > 0
+
+
+@pytest.mark.parametrize("spec", SPECULATION_MODES)
+def test_merges_listing_patches_in_either_order_share_one_face(spec):
+    prog = Program(
+        distance=3,
+        grid=(1, 2),
+        instructions=[
+            Instruction(InstructionKind.MERGE_ZZ, [(0, 0), (0, 1)], 0, 5),
+            Instruction(InstructionKind.MERGE_ZZ, [(0, 1), (0, 0)], 5, 5),
+        ],
+    )
+    engine = _Engine(prog, SimConfig(strategy="parallel", speculation=spec))
+    check_timeline(prog, engine.run())
+    for cell in engine.cells:
+        nbrs = [f.neighbor for f in cell.win.faces]
+        assert len(nbrs) == len(set(nbrs))
+
+
+def test_runs_leave_no_reference_cycles():
+    """Finished runs free by reference counting alone."""
+    configs = [
+        (name, SimConfig(strategy=strategy, speculation=spec, latency=LatencyModel.fixed(2)))
+        for name in BUILTIN_PROGRAMS
+        for strategy in STRATEGIES
+        for spec in SPECULATION_MODES
+    ]
+    configs.append(
+        (
+            "repeated_t",
+            SimConfig(speculation="stochastic", processors=2, latency=LatencyModel.fixed(4)),
+        )
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        for name, cfg in configs:
+            simulate(builtin_program(name, 3), cfg)
+            assert gc.collect() == 0, (name, cfg)
+    finally:
+        gc.enable()
 
 
 # -- keyed draws and seed-parallel sweeps ----------------------------------------
