@@ -16,6 +16,7 @@ offset; each face is judged on its own.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import json
 import math
@@ -1021,7 +1022,18 @@ def simulate(program: Program, cfg: SimConfig | None = None) -> SimResult:
         raise ProgramError("; ".join(diags))
     if not program.instructions:
         raise ProgramError("program has no instructions")
-    return _Engine(program, cfg).run()
+    # A run's cells, tasks and events live until it returns, so collections
+    # during the run promote them and set off a full collection of the
+    # interpreter's heap (several ms) every hundred-odd runs.  Runs make no
+    # reference cycles (tests/test_pipeline.py checks every builtin), so the
+    # cycle collector is paused while one runs.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _Engine(program, cfg).run()
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def simulate_many(program: Program, cfgs) -> list[SimResult]:

@@ -767,6 +767,19 @@ def test_runs_leave_no_reference_cycles():
         gc.enable()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_simulate_restores_collector_state(enabled):
+    """simulate() pauses the cycle collector and leaves it as it found it."""
+    prog = builtin_program("zigzag_chain", 3)
+    cfg = SimConfig(speculation="stochastic", latency=LatencyModel.fixed(2))
+    (gc.enable if enabled else gc.disable)()
+    try:
+        simulate(prog, cfg)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
 # -- keyed draws and seed-parallel sweeps ----------------------------------------
 
 _WORD = st.integers(min_value=0, max_value=2**32 - 1)
