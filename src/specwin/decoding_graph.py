@@ -141,6 +141,12 @@ class DecodingGraph:
         return ids
 
     def node_coords(self, ids):
+        """(round, row, col) of node ``ids``: Python ints for an int id,
+        arrays otherwise."""
+        if isinstance(ids, int):
+            rest, nc = divmod(ids, self.extent["col"])
+            nt, nr = divmod(rest, self.extent["row"])
+            return nt + self.lo["t"], nr + self.lo["row"], nc + self.lo["col"]
         ids = np.asarray(ids)
         nc = ids % self.extent["col"]
         rest = ids // self.extent["col"]
@@ -239,7 +245,11 @@ class DecodingGraph:
     # -- adjacency helpers --------------------------------------------------
 
     def incidence(self):
-        """node -> list of (edge id, other endpoint), virtual included."""
+        """node -> list of (edge id, other endpoint), virtual included.
+
+        specwin itself no longer calls this; ``specbench/tracing.py`` still
+        wraps it.
+        """
         if self._incidence is None:
             inc: list[list[tuple[int, int]]] = [[] for _ in range(self.node_count)]
             for e in range(self.edge_count):

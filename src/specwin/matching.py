@@ -2,10 +2,13 @@
 
 Exact mode provably minimizes total weight: defects are first split into
 independent clusters (two defects can only be worth pairing if their
-separation beats the cost of sending both to the boundary), then each
-cluster is solved by memoized enumeration over pairings with boundary
-options.  Greedy mode repeatedly pairs the globally closest remaining
-defects.  Unit edge weights throughout, so weight equals path length.
+separation beats the cost of sending both to the boundary).  Every
+cluster is sized against the cap before any is enumerated, so a decode
+that falls back to greedy wastes no enumeration.  Each cluster is then
+solved by enumeration over pairings with boundary options, memoized on an
+int bitmask of the cluster's remaining defects.  Greedy mode repeatedly
+pairs the globally closest remaining defects, taking candidates from one
+array sort.  Unit edge weights throughout, so weight equals path length.
 
 Matched paths follow a canonical route (row moves, then column moves,
 then temporal moves, starting from the lower-id endpoint), which fixes
@@ -60,10 +63,10 @@ def decode(
 ) -> Matching:
     """Match all lit syndrome nodes, to each other or to the boundary.
 
-    Exact mode enumerates pairings per independent defect cluster and
-    raises ExactCapExceeded if a cluster holds more than ``cap`` defects
-    (callers fall back to greedy).  Greedy mode always succeeds but may
-    exceed the minimum weight.
+    Exact mode sizes every independent defect cluster first and raises
+    ExactCapExceeded, before enumerating any cluster, if one holds more
+    than ``cap`` defects (callers fall back to greedy).  Greedy mode always
+    succeeds but may exceed the minimum weight.
     """
     lit = s.lit()
     if lit.size == 0:
@@ -79,37 +82,44 @@ def decode(
 
 
 def _greedy(g: DecodingGraph, lit: np.ndarray):
-    import heapq
+    """Take candidates in increasing (weight, u, v) order, skipping any with
+    a matched endpoint.
 
-    dmat = g.distance(lit[:, None], lit[None, :])
-    bdist = g.boundary_distance(lit)
-    nearest = g.nearest_boundary(lit)
-    heap = []
-    nodes, rows = lit.tolist(), dmat.tolist()
-    for i, u in enumerate(nodes):
-        heap.append((int(bdist[i]), u, int(nearest[i])))
-        for j in range(i + 1, len(nodes)):
-            heap.append((rows[i][j], u, nodes[j]))
-    heapq.heapify(heap)
-    matched: set[int] = set()
+    Each lit node has one boundary candidate (v < 0) and one per higher lit
+    partner, so the key is unique.  ``lit`` is sorted, so local indices, with
+    -1 for the boundary, sort the candidates the same way.
+    """
+    n = lit.size
+    iu, ju = np.triu_indices(n, 1)
+    w = np.concatenate([g.boundary_distance(lit), g.distance(lit[iu], lit[ju])])
+    a = np.concatenate([np.arange(n), iu])
+    b = np.concatenate([np.full(n, -1), ju])
+    order = np.lexsort((b, a, w)).tolist()
+    w, a, b = w.tolist(), a.tolist(), b.tolist()
+    nodes, nearest = lit.tolist(), g.nearest_boundary(lit).tolist()
+    matched = [False] * n
+    left = n
     pairs = []
     weight = 0
-    while heap and len(matched) < lit.size:
-        w, u, v = heapq.heappop(heap)
-        if u in matched or (v >= 0 and v in matched):
+    for k in order:
+        i, j = a[k], b[k]
+        if matched[i] or (j >= 0 and matched[j]):
             continue
-        pairs.append((u, v))
-        weight += w
-        matched.add(u)
-        if v >= 0:
-            matched.add(v)
+        pairs.append((nodes[i], nearest[i] if j < 0 else nodes[j]))
+        weight += w[k]
+        matched[i] = True
+        left -= 1
+        if j >= 0:
+            matched[j] = True
+            left -= 1
+        if not left:
+            break
     return pairs, weight
 
 
 def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
     dmat = g.distance(lit[:, None], lit[None, :])
     bdist = g.boundary_distance(lit)
-    nearest = g.nearest_boundary(lit)
     # Pairing u with v can only beat boundary-matching both when their
     # separation is strictly smaller; such pairs define the clusters.
     useful = dmat < (bdist[:, None] + bdist[None, :])
@@ -122,50 +132,65 @@ def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
             x = parent[x]
         return x
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if useful[i, j]:
-                parent[find(i)] = find(j)
+    for i, j in zip(*(k.tolist() for k in np.nonzero(np.triu(useful, 1)))):
+        parent[find(i)] = find(j)
     clusters: dict[int, list[int]] = {}
     for i in range(n):
         clusters.setdefault(find(i), []).append(i)
-
-    pairs = []
-    weight = 0
     for members in clusters.values():
         if len(members) > cap:
             raise ExactCapExceeded(
                 f"cluster of {len(members)} defects exceeds cap {cap}"
             )
-        w, local = _enumerate_cluster(frozenset(members), dmat, bdist, {})
+
+    nodes = lit.tolist()
+    nearest = g.nearest_boundary(lit).tolist()
+    drows, brow = dmat.tolist(), bdist.tolist()
+    pairs = []
+    weight = 0
+    for members in clusters.values():
+        dist = [[drows[i][j] for j in members] for i in members]
+        w, local = _enumerate_cluster(
+            (1 << len(members)) - 1, dist, [brow[i] for i in members], {}
+        )
         weight += w
         for i, j in local:
-            if j < 0:
-                pairs.append((int(lit[i]), int(nearest[i])))
-            else:
-                pairs.append((int(lit[i]), int(lit[j])))
+            u = members[i]
+            pairs.append((nodes[u], nearest[u] if j < 0 else nodes[members[j]]))
     return pairs, weight
 
 
-def _enumerate_cluster(remaining: frozenset, dmat, bdist, memo: dict):
-    """Minimum (weight, pairs) over pairings of the ``remaining`` defect
-    indices, each with a partner or the boundary (-1); ``memo`` caches
-    solved subsets."""
-    if not remaining:
+def _enumerate_cluster(mask: int, dist, bdist, memo: dict):
+    """Minimum (weight, pairs) over pairings of the cluster-local indices
+    set in ``mask``, each with a partner or the boundary (-1).
+
+    The lowest index pairs first with the boundary, then with each higher
+    index in turn; a later option wins only if strictly lighter.  ``dist``
+    and ``bdist`` are lists, and ``memo`` caches solved masks.
+    """
+    if not mask:
         return 0, ()
-    hit = memo.get(remaining)
+    hit = memo.get(mask)
     if hit is not None:
         return hit
-    u = min(remaining)
-    rest = remaining - {u}
-    w0, p0 = _enumerate_cluster(rest, dmat, bdist, memo)
-    best = (int(bdist[u]) + w0, ((u, -1),) + p0)
-    for v in sorted(rest):
-        w1, p1 = _enumerate_cluster(rest - {v}, dmat, bdist, memo)
-        w = int(dmat[u, v]) + w1
-        if w < best[0]:
-            best = (w, ((u, v),) + p1)
-    memo[remaining] = best
+    low = mask & -mask
+    u = low.bit_length() - 1
+    rest = mask ^ low
+    best_w, best_p = _enumerate_cluster(rest, dist, bdist, memo)
+    best_w += bdist[u]
+    best_v = -1
+    row = dist[u]
+    todo = rest
+    while todo:
+        bit = todo & -todo
+        todo ^= bit
+        v = bit.bit_length() - 1
+        w, p = _enumerate_cluster(rest ^ bit, dist, bdist, memo)
+        w += row[v]
+        if w < best_w:
+            best_w, best_p, best_v = w, p, v
+    best = (best_w, ((u, best_v),) + best_p)
+    memo[mask] = best
     return best
 
 

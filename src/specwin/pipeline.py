@@ -784,10 +784,10 @@ class _Engine:
             return []
         if self.cfg.speculation == "integrated":
             self._integrated_truth(cell, consumed)
-            # Faces on one side are judged by that side's plane; a cell that
-            # verified before publishing predicted nothing.
-            pred, truth = cell.pred, cell.truth
-            return [f for f in cell.win.sources if pred and pred[f.side] != truth[f.side]]
+            # A cell that verified before publishing predicted nothing.
+            if not cell.pred:
+                return []
+            return [f for f in cell.win.sources if self._plane_wrong(cell, f)]
         if cell.spec_time is None:
             return []
         wrongs = []
@@ -806,6 +806,25 @@ class _Engine:
             if u > thr:
                 wrongs.append(f)
         return wrongs
+
+    def _plane_wrong(self, cell: _Cell, f: Face) -> bool:
+        """Whether the predicted bits on source face ``f``'s plane differ
+        from the truth.
+
+        A face alone on its side is judged by the side's whole plane.  Faces
+        sharing a side share its plane, so each is judged only by the plane
+        sites in its neighbour's rounds.
+        """
+        pred, truth = cell.pred[f.side].nonzero(), cell.truth[f.side].nonzero()
+        if pred == truth:
+            return False
+        if sum(g.side is f.side for g in cell.win.sources) == 1:
+            return True
+        nbr = self.cells[f.neighbor].win
+        lo, hi = nbr.t0 - cell.win.t0, nbr.t1 - cell.win.t0
+        return any(
+            lo <= cell.graph.node_coords(site)[0] < hi for site in pred.keys() ^ truth.keys()
+        )
 
     def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, int]]:
         """(source cid, sink cid) of the faces meeting ``cell``'s face ``f``

@@ -15,8 +15,9 @@ number of sequential phases that does not depend on the code distance:
 * 3-step additionally declares weight-2 chains across the plane whose
   endpoint bits survived the 2-step resolution.
 
-Each predictor reads the plane's geometry from the coordinates of the lit
-nodes it is given, so its work scales with the lit bits, not the plane.
+Each predictor reads the plane's geometry, and 2-step its candidate edges,
+from the coordinates of the lit nodes it is given, so its work scales with
+the lit bits, not the plane or the graph.
 
 Counters are bounded by 1 + max degree = 7, so candidate sums span
 2..14 and the phase counts are 1, 1 + 13, and 1 + 13 + 1.
@@ -128,27 +129,36 @@ def _two_step(v: BoundaryView):
     copy of the bits; declaring a match zeroes both counters and both
     bits, consuming the nodes.
     """
-    inc = v.g.incidence()
-    edges: dict[int, tuple[int, int]] = {}
-    for u in sorted(v.bits):
-        for eid, w in inc[u]:
-            if w > u and w in v.bits:
-                edges[eid] = (u, w)
+    ext = v.g.extent
+    ec, er, et = ext["col"], ext["row"], ext["t"]
+    # Each lit node's higher neighbours: +1 column, +1 row, +1 round.
+    # (kind, lower endpoint) orders candidates as their edge ids do, since
+    # the graph numbers column, then row, then temporal edges, each kind
+    # by increasing lower endpoint.
+    edges = []
+    for u in v.bits:
+        rest, c = divmod(u, ec)
+        t, r = divmod(rest, er)
+        if c + 1 < ec and u + 1 in v.bits:
+            edges.append((0, u, u + 1))
+        if r + 1 < er and u + ec in v.bits:
+            edges.append((1, u, u + ec))
+        if t + 1 < et and u + ec * er in v.bits:
+            edges.append((2, u, u + ec * er))
     counters = dict(v.bits)
-    for u, w in edges.values():
+    for _, u, w in edges:
         counters[u] += 1
         counters[w] += 1
-    bins: dict[int, list[int]] = {}
-    for eid, (u, w) in edges.items():
-        total = counters[u] + counters[w]
+    bins: dict[int, list[tuple[int, int, int]]] = {}
+    for edge in edges:
+        total = counters[edge[1]] + counters[edge[2]]
         assert 2 <= total <= MAX_COUNTER_SUM
-        bins.setdefault(total, []).append(eid)
+        bins.setdefault(total, []).append(edge)
     declared = []
     bits = dict(v.bits)
     toggles: dict[int, int] = {}
     for total in range(2, MAX_COUNTER_SUM + 1):
-        for eid in sorted(bins.get(total, [])):
-            u, w = edges[eid]
+        for _, u, w in sorted(bins.get(total, ())):
             if counters[u] and counters[w]:
                 counters[u] = counters[w] = 0
                 bits[u] = bits[w] = 0

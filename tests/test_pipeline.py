@@ -726,6 +726,59 @@ def test_faces_on_one_side_are_judged_independently():
     assert split > 0
 
 
+def test_faces_on_one_side_are_judged_by_their_neighbours_rounds():
+    """Integrated mode: a face sharing its side's plane is wrong only if a
+    plane site where prediction and truth differ lies in its neighbour's
+    rounds, so a difference confined to one neighbour's rounds never marks
+    the other face wrong."""
+    prog = Program(
+        distance=3,
+        grid=(1, 2),
+        instructions=[
+            Instruction(InstructionKind.IDLE, [(0, 0)], 0, 1),
+            Instruction(InstructionKind.MERGE_ZZ, [(0, 0), (0, 1)], 1, 40),
+            Instruction(InstructionKind.IDLE, [(0, 0)], 41, 2),
+        ],
+    )
+    confined = 0
+    for seed in range(20):
+        cfg = SimConfig(
+            strategy="parallel",
+            speculation="integrated",
+            latency=LatencyModel.fixed(2),
+            seed=seed,
+            noise_p=0.05,
+        )
+        engine = _Engine(prog, cfg)
+        judge = engine._judge_speculation
+        judged = {}
+
+        def record(cell, consumed):
+            judged[cell.cid] = judge(cell, consumed)
+            return judged[cell.cid]
+
+        engine._judge_speculation = record
+        engine.run()
+        for cell in engine.cells:
+            faces = west_sources(cell)
+            if len(faces) != 2 or not cell.pred:
+                continue
+            pred = cell.pred[Side.WEST].nonzero()
+            truth = cell.truth[Side.WEST].nonzero()
+            rounds = [
+                cell.win.t0 + cell.graph.node_coords(site)[0]
+                for site in set(pred) ^ set(truth)
+            ]
+            hit = []
+            for f in faces:
+                nbr = engine.cells[f.neighbor].win
+                hit.append(any(nbr.t0 <= t < nbr.t1 for t in rounds))
+            wrong = [any(g is f for g in judged[cell.cid]) for f in faces]
+            assert wrong == hit
+            confined += hit.count(True) == 1
+    assert confined > 0
+
+
 @pytest.mark.parametrize("spec", SPECULATION_MODES)
 def test_merges_listing_patches_in_either_order_share_one_face(spec):
     prog = Program(
