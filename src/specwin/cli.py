@@ -201,6 +201,8 @@ def cmd_predictor_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_recovery_eval(args: argparse.Namespace) -> int:
+    if args.shots < 1:
+        raise ValueError(f"--shots must be >= 1, got {args.shots}")
     program = _load_program(args)
     print(f"{'recovery':>12} {'wasted':>10} {'valid':>10} {'mispred':>8}")
     # The recovery scope only acts on mispredictions, and the 'auto' pool

@@ -16,7 +16,7 @@ the full box (the two open sides of the patch).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,20 +69,12 @@ class Syndrome:
         return Syndrome(self.bits.copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class DependencyBits:
-    """XOR toggle mask over one boundary plane's nodes."""
+    """The nodes of one boundary plane whose dependency bit is toggled."""
 
     plane: int
-    toggles: dict[int, int] = field(default_factory=dict)
-
-    def nonzero(self) -> dict[int, int]:
-        return {n: b for n, b in self.toggles.items() if b}
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DependencyBits):
-            return NotImplemented
-        return self.plane == other.plane and self.nonzero() == other.nonzero()
+    sites: frozenset[int] = frozenset()
 
 
 class DecodingGraph:

@@ -58,15 +58,13 @@ def _pair_key(u: int, v: int) -> tuple[int, int]:
     return (u, v)
 
 
-def decode(
-    g: DecodingGraph, s: Syndrome, mode: str = "exact", cap: int = DEFAULT_CAP
-) -> Matching:
+def decode(g: DecodingGraph, s: Syndrome, mode: str = "exact") -> Matching:
     """Match all lit syndrome nodes, to each other or to the boundary.
 
     Exact mode sizes every independent defect cluster first and raises
     ExactCapExceeded, before enumerating any cluster, if one holds more
-    than ``cap`` defects (callers fall back to greedy).  Greedy mode always
-    succeeds but may exceed the minimum weight.
+    than ``DEFAULT_CAP`` defects (callers fall back to greedy).  Greedy
+    mode always succeeds but may exceed the minimum weight.
     """
     lit = s.lit()
     if lit.size == 0:
@@ -74,7 +72,7 @@ def decode(
     if mode == "greedy":
         pairs, weight = _greedy(g, lit)
     elif mode == "exact":
-        pairs, weight = _exact(g, lit, cap)
+        pairs, weight = _exact(g, lit, DEFAULT_CAP)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     pairs = sorted(_pair_key(u, v) for u, v in pairs)
@@ -232,10 +230,10 @@ def crossing_site(g, plane: BoundaryPlane, u: int, v: int):
 def extract_dependency_bits(
     m: Matching, g: DecodingGraph, plane: BoundaryPlane
 ) -> DependencyBits:
-    """Toggle mask the matching induces on one boundary plane."""
-    toggles: dict[int, int] = {}
+    """Dependency bits the matching toggles on one boundary plane."""
+    sites: set[int] = set()
     for u, v in m.pairs:
         site = crossing_site(g, plane, u, v)
         if site is not None:
-            toggles[site] = toggles.get(site, 0) ^ 1
-    return DependencyBits(plane.id, toggles)
+            sites ^= {site}
+    return DependencyBits(plane.id, frozenset(sites))

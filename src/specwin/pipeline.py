@@ -273,7 +273,6 @@ class CellRecord:
 @dataclass
 class SimResult:
     runtime_rounds: int
-    runtime_us: float
     reactions: list[tuple[int, int]]
     timeline: list[TraceSegment]
     occupancy: list[tuple[int, int]]
@@ -281,6 +280,11 @@ class SimResult:
     wasted_compute: int
     mispredictions: int
     cell_log: list[CellRecord]
+
+    @property
+    def runtime_us(self) -> float:
+        """Runtime in microseconds, at 1 us per round."""
+        return float(self.runtime_rounds)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -344,9 +348,9 @@ def _overlapping(cells: list[_Cell], lo: int, hi: int) -> list[_Cell]:
     patch's history.
     """
     i = len(cells)
-    while i and cells[i - 1].win.t1 > lo:
+    while i and cells[i - 1].t1 > lo:
         i -= 1
-    return [c for c in cells[i:] if c.win.t0 < hi]
+    return [c for c in cells[i:] if c.t0 < hi]
 
 
 class _Task:
@@ -375,19 +379,16 @@ class _Task:
         return False
 
 
-class _Cell:
-    """Mutable pipeline state for one window cell."""
+class _Cell(WindowCell):
+    """A window cell with its pipeline state."""
 
     __slots__ = (
-        "win", "cid", "key", "vgen", "gen_time", "spec_time", "verified_at",
-        "running", "done", "queued", "attempts", "first_start", "hooks",
-        "graph", "synd", "pred", "truth",
+        "vgen", "gen_time", "spec_time", "verified_at", "running", "done",
+        "queued", "attempts", "first_start", "hooks", "graph", "synd", "pred", "truth",
     )
 
-    def __init__(self, win: WindowCell, key: tuple[int, int, int]):
-        self.win = win
-        self.cid = win.id
-        self.key = key
+    def __init__(self, id: int, patch: tuple, index: int, t0: int, t1: int):
+        WindowCell.__init__(self, id, patch, index, t0, t1)
         self.vgen = 0
         self.gen_time: int | None = None
         self.spec_time: int | None = None
@@ -466,7 +467,7 @@ class _Engine:
         self.valid = 0
         self.wasted = 0
         self.mispredictions = 0
-        self.wrong_faces: set[tuple[int, int]] = set()  # (source cid, sink cid)
+        self.wrong_faces: set[tuple[int, int]] = set()  # (source id, sink id)
         self._need_sweep = False
 
     # -- rng streams --------------------------------------------------------
@@ -502,28 +503,26 @@ class _Engine:
 
     def _new_cell(self, patch: tuple, t0: int, t1: int) -> _Cell:
         ps = self.pstate[patch]
-        win = WindowCell(len(self.cells), patch, t0, t1, self.d)
-        cell = _Cell(win, (patch[0], patch[1], len(ps.cells)))
+        cell = _Cell(len(self.cells), patch, len(ps.cells), t0, t1)
         self.cells.append(cell)
         ps.cells.append(cell)
         if len(ps.cells) > 1:
             self._attach(ps.cells[-2], cell, Side.FUTURE)
-        self._push(t1, _PH_GEN, cell.cid, cell.vgen)
+        self._push(t1, _PH_GEN, cell.id, cell.vgen)
         return cell
 
     def _attach(self, a: _Cell, b: _Cell, side: Side) -> None:
         """Put a face between cells ``a`` and ``b`` on ``a``'s ``side``."""
-        wa, wb = a.win, b.win
         a_src = owns_face(
-            self.cfg.strategy, self.d, self.phases, (wa.t0, wa.patch), (wb.t0, wb.patch)
+            self.cfg.strategy, self.d, self.phases, (a.t0, a.patch), (b.t0, b.patch)
         )
-        wa.attach(Face(side, b.cid, "source" if a_src else "sink"))
-        wb.attach(Face(side.mirror, a.cid, "sink" if a_src else "source"))
+        a.attach(Face(side, b.id), a_src)
+        b.attach(Face(side.mirror, a.id), not a_src)
 
     def _ensure_upto(self, patch: tuple, upto: int) -> None:
         ps = self.pstate[patch]
         while True:
-            end = ps.cells[-1].win.t1 if ps.cells else ps.birth
+            end = ps.cells[-1].t1 if ps.cells else ps.birth
             if end >= upto or (ps.death is not None and end >= ps.death):
                 break
             t1 = end + self.d
@@ -534,33 +533,32 @@ class _Engine:
     def _apply_death(self, patch: tuple) -> None:
         ps = self.pstate[patch]
         last = ps.cells[-1]
-        if last.win.t1 <= ps.death:
+        if last.t1 <= ps.death:
             return
         # The provisional tail cell overshot the patch's final round.
         # Shrink it and reposition every generation event that referenced
         # its old end; none of them can have fired yet since the new end
         # is still in the future.
-        last.win.t1 = ps.death
+        last.t1 = ps.death
         last.vgen += 1
-        self._push(ps.death, _PH_GEN, last.cid, last.vgen)
-        # Attach order, not tag order: the push sequence breaks event ties.
-        for f in last.win.faces:
-            if f.kind != "sink":
-                continue
+        self._push(ps.death, _PH_GEN, last.id, last.vgen)
+        # Sinks keep attach order, which the push sequence needs: it breaks
+        # event ties.
+        for f in last.sinks:
             nbr = self.cells[f.neighbor]
             if nbr.gen_time is not None:
                 continue
             nbr.vgen += 1
-            self._push(self._gen_value(nbr), _PH_GEN, nbr.cid, nbr.vgen)
+            self._push(self._gen_value(nbr), _PH_GEN, nbr.id, nbr.vgen)
 
     def _connect(self, pa: tuple, pb: tuple, w_start: int, w_end: int) -> None:
         side = Side.between(pa, pb)
         cbs = _overlapping(self.pstate[pb].cells, w_start, w_end)
         for ca in _overlapping(self.pstate[pa].cells, w_start, w_end):
             for cb in cbs:
-                lo = max(ca.win.t0, cb.win.t0, w_start)
-                hi = min(ca.win.t1, cb.win.t1, w_end)
-                if lo >= hi or cb.cid in [f.neighbor for f in ca.win.faces]:
+                lo = max(ca.t0, cb.t0, w_start)
+                hi = min(ca.t1, cb.t1, w_end)
+                if lo >= hi or cb.id in [f.neighbor for f in ca.sources + ca.sinks]:
                     continue
                 self._attach(ca, cb, side)
 
@@ -639,25 +637,25 @@ class _Engine:
     # -- generation ---------------------------------------------------------
 
     def _gen_value(self, cell: _Cell) -> int:
-        g = cell.win.t1
-        for f in cell.win.sources:
-            g = max(g, self.cells[f.neighbor].win.t1)
+        g = cell.t1
+        for f in cell.sources:
+            g = max(g, self.cells[f.neighbor].t1)
         return g
 
     def _on_gen(self, cid: int, v: int) -> None:
         cell = self.cells[cid]
         if cell.gen_time is not None or cell.vgen != v:
             return
-        patch = cell.win.patch
+        patch = cell.patch
         if self.pstate[patch].cells[-1] is cell:
-            self._ensure_upto(patch, cell.win.t1 + 1)
+            self._ensure_upto(patch, cell.t1 + 1)
         g = self._gen_value(cell)
         if g > self.clock:
             cell.vgen += 1
             self._push(g, _PH_GEN, cid, cell.vgen)
             return
         cell.gen_time = self.clock
-        if self.spec_on and cell.win.sources:
+        if self.spec_on and cell.sources:
             self._push(self.clock + _T_SPEC, _PH_SPEC, cid)
         self._try_start(cell)
 
@@ -672,7 +670,7 @@ class _Engine:
             self._integrated_predict(cell)
         # Retry the cells across the source faces; one waiting on another
         # source stays waiting.
-        for nid in sorted([f.neighbor for f in cell.win.sources]):
+        for nid in sorted([f.neighbor for f in cell.sources]):
             self._try_start(self.cells[nid])
         self._dispatch()
 
@@ -688,7 +686,7 @@ class _Engine:
         ):
             return
         consumed = []
-        for f in cell.win.sinks:
+        for f in cell.sinks:
             src = self.cells[f.neighbor]
             if src.verified_at is not None:
                 consumed.append((f, src, "verified"))
@@ -707,15 +705,15 @@ class _Engine:
         cell.attempts += 1
         rng = None
         if self.cfg.latency.kind == "empirical":
-            rng = self._rng(_LAT, *cell.key, attempt)
-        dur = decode_latency(cell.win.task_units, self.d, self.cfg.latency, rng)
+            rng = self._rng(_LAT, *cell.patch, cell.index, attempt)
+        dur = decode_latency(cell.task_units(self.d), self.d, self.cfg.latency, rng)
         now = self.clock
         if cell.first_start is None:
             cell.first_start = now
         cell.running = _Task(now, now + dur, attempt, tuple(consumed))
         self.running_count += 1
         self.occupancy.append((now, self.running_count))
-        self._push(now + dur, _PH_DONE, cell.cid, attempt)
+        self._push(now + dur, _PH_DONE, cell.id, attempt)
 
     def _dispatch(self) -> None:
         if self.cfg.processors is None:
@@ -760,13 +758,13 @@ class _Engine:
                 self._note_release(rel)
             wrongs = self._judge_speculation(cell, task.consumed)
             for f in wrongs:
-                self.wrong_faces.add((cell.cid, f.neighbor))
+                self.wrong_faces.add((cell.id, f.neighbor))
                 self.mispredictions += 1
             for f in wrongs:
                 self._recover(cell, f)
             # A consumer that finished decoding did so on this cell's
             # speculation and may now verify; the others are retried.
-            for nid in sorted([f.neighbor for f in cell.win.sources]):
+            for nid in sorted([f.neighbor for f in cell.sources]):
                 child = self.cells[nid]
                 if child.done is None:
                     self._try_start(child)
@@ -787,17 +785,17 @@ class _Engine:
             # A cell that verified before publishing predicted nothing.
             if not cell.pred:
                 return []
-            return [f for f in cell.win.sources if self._plane_wrong(cell, f)]
+            return [f for f in cell.sources if self._plane_wrong(cell, f)]
         if cell.spec_time is None:
             return []
         wrongs = []
         side, k = None, 0
-        for f in cell.win.sources:
+        for f in cell.sources:
             # The second and later faces on a side draw under an extra index.
             k = k + 1 if f.side is side else 0
             side = f.side
-            ids = (*cell.key, side, k) if k else (*cell.key, side)
-            u = self._uniform(_SPEC, *ids)
+            ids = (*cell.patch, cell.index, side)
+            u = self._uniform(_SPEC, *ids, k) if k else self._uniform(_SPEC, *ids)
             thr = self.cfg.accuracy
             if self.wrong_faces and not self.wrong_faces.isdisjoint(
                 self._adjacent_faces(cell, f)
@@ -815,30 +813,23 @@ class _Engine:
         sharing a side share its plane, so each is judged only by the plane
         sites in its neighbour's rounds.
         """
-        pred, truth = cell.pred[f.side].nonzero(), cell.truth[f.side].nonzero()
+        pred, truth = cell.pred[f.side].sites, cell.truth[f.side].sites
         if pred == truth:
             return False
-        if sum(g.side is f.side for g in cell.win.sources) == 1:
+        if sum(g.side is f.side for g in cell.sources) == 1:
             return True
-        nbr = self.cells[f.neighbor].win
-        lo, hi = nbr.t0 - cell.win.t0, nbr.t1 - cell.win.t0
-        return any(
-            lo <= cell.graph.node_coords(site)[0] < hi for site in pred.keys() ^ truth.keys()
-        )
+        nbr = self.cells[f.neighbor]
+        lo, hi = nbr.t0 - cell.t0, nbr.t1 - cell.t0
+        return any(lo <= cell.graph.node_coords(site)[0] < hi for site in pred ^ truth)
 
     def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, int]]:
-        """(source cid, sink cid) of the faces meeting ``cell``'s face ``f``
+        """(source id, sink id) of the faces meeting ``cell``'s face ``f``
         at a corner."""
         out: set[tuple[int, int]] = set()
-        nbr = self.cells[f.neighbor]
-        for z in (cell, nbr):
-            for g in z.win.faces:
-                if g.side.axis == f.side.axis:
-                    continue
-                if g.kind == "source":
-                    out.add((z.cid, g.neighbor))
-                else:
-                    out.add((g.neighbor, z.cid))
+        axis = f.side.axis
+        for z in (cell, self.cells[f.neighbor]):
+            out.update((z.id, g.neighbor) for g in z.sources if g.side.axis != axis)
+            out.update((g.neighbor, z.id) for g in z.sinks if g.side.axis != axis)
         return out
 
     def _note_release(self, rel: _Release) -> None:
@@ -878,14 +869,14 @@ class _Engine:
             seen = set(targets)
             while frontier:
                 cur = frontier.pop()
-                for f in cur.win.sources:
+                for f in cur.sources:
                     child = self.cells[f.neighbor]
-                    if child.cid in seen:
+                    if child.id in seen:
                         continue
-                    seen.add(child.cid)
+                    seen.add(child.id)
                     frontier.append(child)
                     if child.verified_at is None and (child.running or child.done):
-                        targets[child.cid] = child
+                        targets[child.id] = child
         now = self.clock
         for cid in sorted(targets):
             cell = targets[cid]
@@ -908,14 +899,14 @@ class _Engine:
     def _graph(self, cell: _Cell):
         if cell.graph is None:
             # One buffer per side, however many faces lie on it.
-            sides = dict.fromkeys(f.side.pair for f in cell.win.sources)
-            cell.graph = build_window_graph(self.d, cell.win.rounds, list(sides))
+            sides = dict.fromkeys(f.side.pair for f in cell.sources)
+            cell.graph = build_window_graph(self.d, cell.rounds, list(sides))
         return cell.graph
 
     def _ensure_synd(self, cell: _Cell) -> None:
         if cell.synd is None:
             g = self._graph(cell)
-            _, synd = g.sample_errors(self.cfg.noise_p, self._rng(_WIN, *cell.key))
+            _, synd = g.sample_errors(self.cfg.noise_p, self._rng(_WIN, *cell.patch, cell.index))
             cell.synd = synd
 
     def _integrated_predict(self, cell: _Cell) -> None:
@@ -930,9 +921,8 @@ class _Engine:
         g = cell.graph
         bits = np.array(cell.synd.bits, copy=True)
         for f, src, _ in consumed:
-            toggles = src.truth[f.side.mirror]
-            for nid in toggles.nonzero():
-                loc = self._project(f, src, cell, int(nid))
+            for nid in src.truth[f.side.mirror].sites:
+                loc = self._project(f, src, cell, nid)
                 if loc is not None:
                     bits[int(g.node_id(*loc))] ^= 1
         try:
@@ -960,7 +950,7 @@ class _Engine:
         else:
             if not 0 <= t < src.graph.commit_hi["t"]:
                 return None
-            t += src.win.t0 - dst.win.t0
+            t += src.t0 - dst.t0
             if not 0 <= t < box["t"]:
                 return None
             if side.axis == "row":
@@ -988,7 +978,7 @@ class _Engine:
         missing = [i for i, e in enumerate(self.exec_end) if e is None]
         if missing:
             raise RuntimeError(f"scheduling deadlock; instructions never ran: {missing}")
-        loose = [c.cid for c in self.cells if c.verified_at is None]
+        loose = [c.id for c in self.cells if c.verified_at is None]
         if loose:
             raise RuntimeError(f"cells never verified: {loose}")
         return self._result()
@@ -1003,13 +993,13 @@ class _Engine:
                 occ.append((t, n))
         log = []
         for p in self.patch_order:
-            for i, cell in enumerate(self.pstate[p].cells):
+            for cell in self.pstate[p].cells:
                 log.append(
                     CellRecord(
                         patch=p,
-                        index=i,
-                        t0=cell.win.t0,
-                        t1=cell.win.t1,
+                        index=cell.index,
+                        t0=cell.t0,
+                        t1=cell.t1,
                         gen_round=cell.gen_time,
                         first_start=cell.first_start,
                         verified_round=cell.verified_at,
@@ -1018,7 +1008,6 @@ class _Engine:
                 )
         return SimResult(
             runtime_rounds=runtime,
-            runtime_us=float(runtime),
             reactions=sorted(self.reactions),
             timeline=sorted(self.timeline, key=lambda s: (s.start, s.instruction)),
             occupancy=occ,

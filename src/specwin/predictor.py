@@ -68,20 +68,19 @@ _W2_OFFSETS = (
 class BoundaryView:
     """Near-plane slice of one window's syndrome.
 
-    ``bits`` is sparse over the plane's near nodes (missing key = 0).
-    Predictors never mutate a view.
+    ``bits`` is the set of lit nodes within two layers of the plane.
     """
 
     g: DecodingGraph
     plane: BoundaryPlane
-    bits: dict[int, int]
+    bits: frozenset[int]
 
 
 def boundary_view(g: DecodingGraph, plane: BoundaryPlane, s: Syndrome) -> BoundaryView:
     """Lit nodes within two layers of the plane's node layer."""
     lit = s.lit()
     near = np.abs(g.axis_coord(lit, plane.side.axis) - plane.node_layer) <= 2
-    return BoundaryView(g, plane, dict.fromkeys(lit[near].tolist(), 1))
+    return BoundaryView(g, plane, frozenset(lit[near].tolist()))
 
 
 @dataclass
@@ -108,7 +107,6 @@ def predict_1step(v: BoundaryView) -> Prediction:
     g, plane = v.g, v.plane
     k = AXES.index(plane.side.axis)
     declared = []
-    toggles: dict[int, int] = {}
     for u in sorted(v.bits):
         coords = [int(x) for x in g.node_coords(u)]
         if coords[k] != plane.node_layer:
@@ -118,16 +116,16 @@ def predict_1step(v: BoundaryView) -> Prediction:
         partner = int(g.node_id(*coords))
         if partner in v.bits:
             declared.append(("edge", u, partner))
-            toggles[u] = toggles.get(u, 0) ^ 1
-    return Prediction(DependencyBits(v.plane.id, toggles), PHASES_1STEP, declared)
+    sites = frozenset(u for _, u, _ in declared)
+    return Prediction(DependencyBits(v.plane.id, sites), PHASES_1STEP, declared)
 
 
 def _two_step(v: BoundaryView):
     """Shared increment + binned-resolution pass.
 
-    Returns (declared, surviving bits, toggles).  Counters start as a
-    copy of the bits; declaring a match zeroes both counters and both
-    bits, consuming the nodes.
+    Returns (declared, surviving bits, toggled sites).  Counters start at
+    1 on every lit node; declaring a match zeroes both counters, consuming
+    the nodes.
     """
     ext = v.g.extent
     ec, er, et = ext["col"], ext["row"], ext["t"]
@@ -145,7 +143,7 @@ def _two_step(v: BoundaryView):
             edges.append((1, u, u + ec))
         if t + 1 < et and u + ec * er in v.bits:
             edges.append((2, u, u + ec * er))
-    counters = dict(v.bits)
+    counters = dict.fromkeys(v.bits, 1)
     for _, u, w in edges:
         counters[u] += 1
         counters[w] += 1
@@ -155,23 +153,21 @@ def _two_step(v: BoundaryView):
         assert 2 <= total <= MAX_COUNTER_SUM
         bins.setdefault(total, []).append(edge)
     declared = []
-    bits = dict(v.bits)
-    toggles: dict[int, int] = {}
+    toggles: set[int] = set()
     for total in range(2, MAX_COUNTER_SUM + 1):
         for _, u, w in sorted(bins.get(total, ())):
             if counters[u] and counters[w]:
                 counters[u] = counters[w] = 0
-                bits[u] = bits[w] = 0
                 declared.append(("edge", u, w))
                 site = crossing_site(v.g, v.plane, u, w)
                 if site is not None:
-                    toggles[site] = toggles.get(site, 0) ^ 1
-    return declared, bits, toggles
+                    toggles ^= {site}
+    return declared, {u for u, n in counters.items() if n}, toggles
 
 
 def predict_2step(v: BoundaryView) -> Prediction:
     declared, _, toggles = _two_step(v)
-    return Prediction(DependencyBits(v.plane.id, toggles), PHASES_2STEP, declared)
+    return Prediction(DependencyBits(v.plane.id, frozenset(toggles)), PHASES_2STEP, declared)
 
 
 def predict_3step(v: BoundaryView) -> Prediction:
@@ -181,8 +177,7 @@ def predict_3step(v: BoundaryView) -> Prediction:
     pass, then consume them.
     """
     g = v.g
-    declared, bits, toggles = _two_step(v)
-    snapshot = {u for u, b in bits.items() if b}
+    declared, snapshot, toggles = _two_step(v)
     for a in sorted(snapshot):
         ta, ra, ca = (int(x) for x in g.node_coords(a))
         for dt, dr, dc in _W2_OFFSETS:
@@ -195,8 +190,8 @@ def predict_3step(v: BoundaryView) -> Prediction:
             site = crossing_site(g, v.plane, a, b)
             if site is not None:
                 declared.append(("chain", a, b))
-                toggles[site] = toggles.get(site, 0) ^ 1
-    return Prediction(DependencyBits(v.plane.id, toggles), PHASES_3STEP, declared)
+                toggles ^= {site}
+    return Prediction(DependencyBits(v.plane.id, frozenset(toggles)), PHASES_3STEP, declared)
 
 
 def classify(pred: Prediction, truth: DependencyBits) -> Classification:
@@ -205,10 +200,8 @@ def classify(pred: Prediction, truth: DependencyBits) -> Classification:
         raise ValueError(
             f"prediction is for plane {pred.bits.plane}, truth for {truth.plane}"
         )
-    got = set(pred.bits.nonzero())
-    want = set(truth.nonzero())
-    fp = len(got - want)
-    fn = len(want - got)
+    fp = len(pred.bits.sites - truth.sites)
+    fn = len(truth.sites - pred.bits.sites)
     return Classification(fp == 0 and fn == 0, fp, fn)
 
 
@@ -228,6 +221,8 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     classifies every predictor on the same syndrome.  Rates are the
     fraction of shots with at least one false positive (resp. negative).
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     g = build_window_graph(d, d, [("temporal", "future")])
     plane = g.planes[0]
     rng = np.random.default_rng([seed, d])

@@ -34,6 +34,8 @@ _PALETTE = {
     GAP_LABEL: "#f5f5f5",
 }
 _FALLBACK = "#888888"
+ROUND_PX = 3.0  # SVG width of one round
+LANE_PX = 22  # SVG height of one patch lane
 
 
 def _lanes(program: Program, result: SimResult) -> dict[PatchId, list[TraceSegment]]:
@@ -103,18 +105,13 @@ def _svg_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def trace_svg(
-    program: Program,
-    result: SimResult,
-    round_px: float = 3.0,
-    lane_px: int = 22,
-) -> str:
+def trace_svg(program: Program, result: SimResult) -> str:
     """Render the executed schedule as a spacetime SVG document."""
     lanes = _lanes(program, result)
     order = sorted(lanes)
     margin_left, margin_top = 70, 30
-    width = margin_left + int(result.runtime_rounds * round_px) + 20
-    height = margin_top + lane_px * len(order) + 40
+    width = margin_left + int(result.runtime_rounds * ROUND_PX) + 20
+    height = margin_top + LANE_PX * len(order) + 40
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" font-family="monospace" font-size="11">',
@@ -122,28 +119,28 @@ def trace_svg(
         f"{_svg_escape(program.name)}: {result.runtime_rounds} rounds</text>",
     ]
     for i, patch in enumerate(order):
-        y = margin_top + i * lane_px
+        y = margin_top + i * LANE_PX
         parts.append(
-            f'<text x="4" y="{y + lane_px - 8}">{patch[0]},{patch[1]}</text>'
+            f'<text x="4" y="{y + LANE_PX - 8}">{patch[0]},{patch[1]}</text>'
         )
         segs = lanes[patch]
         if not segs:
             continue
         for t0, t1, label in _blocks(program, segs):
-            x = margin_left + t0 * round_px
-            w = (t1 - t0) * round_px
+            x = margin_left + t0 * ROUND_PX
+            w = (t1 - t0) * ROUND_PX
             fill = _PALETTE.get(label, _FALLBACK)
             parts.append(
                 f'<rect x="{x:.1f}" y="{y}" width="{w:.1f}" '
-                f'height="{lane_px - 3}" fill="{fill}" stroke="#333" '
+                f'height="{LANE_PX - 3}" fill="{fill}" stroke="#333" '
                 f'stroke-width="0.5"><title>{_svg_escape(label)} '
                 f"[{t0}, {t1})</title></rect>"
             )
     # round axis ticks
     step = max(1, 2 * program.distance)
-    axis_y = margin_top + lane_px * len(order) + 14
+    axis_y = margin_top + LANE_PX * len(order) + 14
     for t in range(0, result.runtime_rounds + 1, step):
-        x = margin_left + t * round_px
+        x = margin_left + t * ROUND_PX
         parts.append(
             f'<line x1="{x:.1f}" y1="{axis_y - 10}" x2="{x:.1f}" '
             f'y2="{axis_y - 4}" stroke="#333"/>'

@@ -100,11 +100,10 @@ _BY_STEP = {(-1, 0): Side.NORTH, (1, 0): Side.SOUTH, (0, -1): Side.WEST, (0, 1):
 
 @dataclass(slots=True)
 class Face:
-    """One face of a cell: where it lies, the cell across it, and who owns it."""
+    """One face of a cell: where it lies and the cell across it."""
 
     side: Side
     neighbor: int
-    kind: str  # "source" owns the buffer past the face, "sink" receives its bits
 
 
 _SIDE_KEY = attrgetter("side")
@@ -114,16 +113,16 @@ _SIDE_KEY = attrgetter("side")
 class WindowCell:
     """One d-round commit region on one patch, with its boundary faces.
 
-    ``faces`` keeps attach order; ``sources`` and ``sinks`` hold the same
-    faces split by kind, each ordered by side (ties in attach order).
+    ``index`` numbers the cell within its patch's tiling.  Each face is held
+    once: in ``sources`` if the cell owns the buffer past it (ordered by
+    side, ties in attach order), else in ``sinks`` (attach order).
     """
 
     id: int
     patch: PatchId
+    index: int
     t0: int
     t1: int
-    d: int
-    faces: list[Face] = field(default_factory=list)
     sources: list[Face] = field(default_factory=list)
     sinks: list[Face] = field(default_factory=list)
 
@@ -131,15 +130,11 @@ class WindowCell:
     def rounds(self) -> int:
         return self.t1 - self.t0
 
-    @property
-    def commit_units(self) -> float:
-        return self.rounds / self.d
-
-    def attach(self, face: Face) -> None:
-        self.faces.append(face)
-        bisect.insort_right(
-            self.sources if face.kind == "source" else self.sinks, face, key=_SIDE_KEY
-        )
+    def attach(self, face: Face, source: bool) -> None:
+        if source:
+            bisect.insort_right(self.sources, face, key=_SIDE_KEY)
+        else:
+            self.sinks.append(face)
 
     def source_faces(self) -> list[Face]:
         return self.sources
@@ -147,15 +142,14 @@ class WindowCell:
     def sink_faces(self) -> list[Face]:
         return self.sinks
 
-    @property
-    def task_units(self) -> float:
+    def task_units(self, d: int) -> float:
         """Decode problem size in d^3 units.
 
         Commit region plus owned buffers; received buffers add no volume
         while the cell owns at least one buffer of its own, and a pure sink
         re-covers everything it receives.
         """
-        units = self.commit_units + len(self.sources)
+        units = self.rounds / d + len(self.sources)
         if not self.sources:
             units += len(self.sinks)
         return units

@@ -173,6 +173,28 @@ def test_recovery_eval_lists_all_strategies(capsys):
         assert rec in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predictor-eval", "--d", "5", "--shots", "0"],
+        ["predictor-eval", "--d", "5", "--shots", "-3"],
+        ["recovery-eval", "--builtin", "zigzag_chain", "--d", "3", "--shots", "0"],
+        ["recovery-eval", "--processors", "auto", "--shots", "-3"],
+    ],
+)
+def test_eval_commands_reject_shots_below_one(argv, monkeypatch, capsys):
+    def no_run(*args):
+        raise AssertionError("ran a simulation")
+
+    for name in ("simulate", "simulate_many", "processor_heuristic"):
+        monkeypatch.setattr(cli, name, no_run)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "shots" in captured.err
+
+
 def test_recovery_eval_table_matches_serial_runs(capsys):
     rc = main(
         [

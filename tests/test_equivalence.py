@@ -36,24 +36,24 @@ def two_step_reference(v):
     for eid, (u, w) in enumerate(zip(g.edges_u.tolist(), g.edges_v.tolist())):
         if w >= 0 and u in v.bits and w in v.bits:
             edges[eid] = (min(u, w), max(u, w))
-    counters = dict(v.bits)
+    counters = dict.fromkeys(v.bits, 1)
     for u, w in edges.values():
         counters[u] += 1
         counters[w] += 1
     bins = {}
     for eid, (u, w) in edges.items():
         bins.setdefault(counters[u] + counters[w], []).append(eid)
-    declared, bits, toggles = [], dict(v.bits), {}
+    declared, bits, toggles = [], set(v.bits), set()
     for total in range(2, MAX_COUNTER_SUM + 1):
         for eid in sorted(bins.get(total, [])):
             u, w = edges[eid]
             if counters[u] and counters[w]:
                 counters[u] = counters[w] = 0
-                bits[u] = bits[w] = 0
+                bits -= {u, w}
                 declared.append(("edge", u, w))
                 site = crossing_site(g, v.plane, u, w)
                 if site is not None:
-                    toggles[site] = toggles.get(site, 0) ^ 1
+                    toggles ^= {site}
     return declared, bits, toggles
 
 
@@ -165,7 +165,7 @@ def test_two_step_matches_edge_list_reference(d, k, data):
     for plane in g.planes:
         views = (
             boundary_view(g, plane, Syndrome(bits)),
-            BoundaryView(g, plane, dict.fromkeys(lit.tolist(), 1)),
+            BoundaryView(g, plane, frozenset(lit.tolist())),
         )
         for view in views:
             assert _two_step(view) == two_step_reference(view)

@@ -7,8 +7,11 @@ that moves them on purpose changes what specwin computes and must say why.
 """
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from specwin.decoding_graph import build_window_graph
 from specwin.pipeline import LatencyModel, SimConfig, simulate
@@ -16,6 +19,7 @@ from specwin.predictor import PREDICTORS, boundary_view, evaluate_predictors
 from specwin.program import builtin_program
 from specwin.windowing import STRATEGIES
 
+SPECBENCH = Path(__file__).resolve().parent.parent / "specbench"
 D = 3
 PROGRAMS = {
     "repeated_t": {"count": 6},
@@ -131,7 +135,7 @@ def predictor_records():
                             pred = fn(view)
                             yield [
                                 d, rounds, k, shot, plane.id, name,
-                                sorted(pred.bits.nonzero().items()),
+                                [[site, 1] for site in sorted(pred.bits.sites)],
                                 pred.declared,
                                 pred.phases_executed,
                             ]
@@ -142,3 +146,22 @@ def test_predictor_results_are_unchanged():
     for rec in predictor_records():
         h.update(json.dumps(rec).encode())
     assert h.hexdigest() == PREDICTOR_SHA256
+
+
+@pytest.mark.parametrize(
+    "name", ["stochastic_sweep", "long_program", "integrated_msd", "predictor_eval"]
+)
+def test_benchmark_check_ops_match_reference(name):
+    """The benchmark's check ops reproduce ``specbench/reference.json``."""
+    if str(SPECBENCH) not in sys.path:
+        sys.path.insert(0, str(SPECBENCH))
+    import run
+
+    run.add_paths()
+    from workloads import WORKLOADS, stream
+
+    wl = WORKLOADS[name]
+    ops = stream(wl, wl.prepare(), 0)
+    phase = run.run_phase(next(ops), ops, wl.digest_ops, 0.0, max_ops=wl.digest_ops)
+    ok, verdict = run.check_verdict(run.reference_check_ops(name), phase.check_ops)
+    assert ok, verdict

@@ -205,7 +205,7 @@ def test_no_crossing_no_toggles():
     v = int(g.node_id(0, 2, 1))
     m = decode(g, syndrome_of(g, [u, v]), "exact")
     bits = extract_dependency_bits(m, g, g.planes[0])
-    assert bits.nonzero() == {}
+    assert bits.sites == set()
 
 
 def test_single_crossing_edge_toggle():
@@ -216,7 +216,7 @@ def test_single_crossing_edge_toggle():
     m = decode(g, syndrome_of(g, [u, v]), "exact")
     assert m.weight == 1
     bits = extract_dependency_bits(m, g, plane)
-    assert bits.nonzero() == {u: 1}
+    assert bits.sites == {u}
 
 
 def test_weight2_crossing_chain_toggle():
@@ -230,7 +230,7 @@ def test_weight2_crossing_chain_toggle():
     m = decode(g, syndrome_of(g, [u, w]), "exact")
     assert m.weight == 2
     bits = extract_dependency_bits(m, g, plane)
-    assert bits.nonzero() == {int(g.node_id(4, 2, 2)): 1}
+    assert bits.sites == {int(g.node_id(4, 2, 2))}
 
 
 def test_boundary_path_crossing_spatial_plane():
@@ -240,14 +240,14 @@ def test_boundary_path_crossing_spatial_plane():
     m = decode(g, syndrome_of(g, [u]), "exact")
     assert m.pairs == [(u, EAST)]
     bits = extract_dependency_bits(m, g, plane)
-    assert bits.nonzero() == {}
+    assert bits.sites == set()
     v = int(g.node_id(2, 1, 2))  # commit-side defect; east is equally near
     m = decode(g, syndrome_of(g, [v]), "exact")
     site = int(g.node_id(2, 1, plane.node_layer))
     if m.pairs == [(v, EAST)]:
-        assert extract_dependency_bits(m, g, plane).nonzero() == {site: 1}
+        assert extract_dependency_bits(m, g, plane).sites == {site}
     else:
-        assert extract_dependency_bits(m, g, plane).nonzero() == {}
+        assert extract_dependency_bits(m, g, plane).sites == set()
 
 
 def test_path_edges_produce_endpoint_syndrome():

@@ -416,7 +416,6 @@ def test_processor_heuristic_limit_keeps_runtime():
 def test_occupancy_stats_by_hand():
     res = SimResult(
         runtime_rounds=10,
-        runtime_us=10.0,
         reactions=[],
         timeline=[],
         occupancy=[(0, 1), (5, 2), (8, 0)],
@@ -576,11 +575,11 @@ def _two_buffer_source():
     engine = _Engine(prog, SimConfig(stall_blocking=False))
     engine.run()
     src = engine.cells[0]
-    assert (src.win.patch, src.win.t0) == ((0, 0), 0)
-    assert [f.side for f in src.win.sources] == [Side.FUTURE, Side.SOUTH]
-    dst = engine.cells[src.win.sources[1].neighbor]
-    assert (dst.win.patch, dst.win.t0, dst.win.t1) == ((1, 0), 1, 4)
-    back = next(g for g in dst.win.faces if g.neighbor == src.cid)
+    assert (src.patch, src.t0) == ((0, 0), 0)
+    assert [f.side for f in src.sources] == [Side.FUTURE, Side.SOUTH]
+    dst = engine.cells[src.sources[1].neighbor]
+    assert (dst.patch, dst.t0, dst.t1) == ((1, 0), 1, 4)
+    back = next(g for g in dst.sinks if g.neighbor == src.id)
     engine._graph(src)
     return engine, src, dst, back
 
@@ -597,7 +596,7 @@ def _chain_toggles(g, plane, inner, outer):
     bits[[u, v]] = 1
     m = decode(g, Syndrome(bits), mode="exact")
     assert m.pairs == [(min(u, v), max(u, v))]
-    return extract_dependency_bits(m, g, plane).nonzero()
+    return extract_dependency_bits(m, g, plane).sites
 
 
 def _crossing(side, t, d, rounds):
@@ -615,33 +614,33 @@ def test_injected_crossing_chain_toggles_matching_sink_node():
     engine, src, dst, back = _two_buffer_source()
     side, d, g = back.side.mirror, engine.d, src.graph
     plane = _plane(g, side)
-    t_global = max(src.win.t0, dst.win.t0)
-    inner, outer = _crossing(side, t_global - src.win.t0, d, src.win.rounds)
+    t_global = max(src.t0, dst.t0)
+    inner, outer = _crossing(side, t_global - src.t0, d, src.rounds)
     toggles = _chain_toggles(g, plane, inner, outer)
-    assert toggles == {int(g.node_id(*inner)): 1}
+    assert toggles == {int(g.node_id(*inner))}
     (site,) = toggles
     # The chain's buffer-side end lies in the sink's patch, on the sink's face
     # layer: same round and same coordinate along the face.
     rows, cols = d - 1, (d + 1) // 2
-    want = {"t": t_global - dst.win.t0, "row": outer[1] % rows, "col": outer[2] % cols}
+    want = {"t": t_global - dst.t0, "row": outer[1] % rows, "col": outer[2] % cols}
     assert engine._project(back, src, dst, site) == tuple(want.values())
 
 
 def test_chain_in_sources_other_buffer_is_dropped():
     engine, src, dst, back = _two_buffer_source()
-    d, g, rounds = engine.d, src.graph, src.win.rounds
+    d, g, rounds = engine.d, src.graph, src.rounds
     spatial = back.side.mirror
     # Across the spatial plane, but in the first round of the source's future
     # buffer: that round is inside the sink's commit, yet the crossing edge
     # is the next source cell's, not this one's.
     plane = _plane(g, spatial)
     inner, outer = _crossing(spatial, rounds, d, rounds)
-    assert 0 <= src.win.t0 + rounds - dst.win.t0 < dst.win.rounds
+    assert 0 <= src.t0 + rounds - dst.t0 < dst.rounds
     (site,) = _chain_toggles(g, plane, inner, outer)
     assert engine._project(back, src, dst, site) is None
     # Across the future plane, but in the columns or rows of the spatial buffer.
-    later = engine.cells[next(f.neighbor for f in src.win.sources if f.side is Side.FUTURE)]
-    past = next(f for f in later.win.faces if f.neighbor == src.cid)
+    later = engine.cells[next(f.neighbor for f in src.sources if f.side is Side.FUTURE)]
+    past = next(f for f in later.sinks if f.neighbor == src.id)
     plane = _plane(g, Side.FUTURE)
     inner, _ = _crossing(Side.FUTURE, 0, d, rounds)
     far = g.hi[spatial.axis] - 1 if spatial.direction > 0 else g.lo[spatial.axis]
@@ -670,7 +669,7 @@ def offset_merge_program() -> Program:
 
 
 def west_sources(cell) -> list:
-    return [f for f in cell.win.sources if f.side is Side.WEST]
+    return [f for f in cell.sources if f.side is Side.WEST]
 
 
 @pytest.mark.parametrize("spec", SPECULATION_MODES)
@@ -712,16 +711,16 @@ def test_faces_on_one_side_are_judged_independently():
         judged = {}
 
         def record(cell, consumed):
-            judged[cell.cid] = judge(cell, consumed)
-            return judged[cell.cid]
+            judged[cell.id] = judge(cell, consumed)
+            return judged[cell.id]
 
         engine._judge_speculation = record
         engine.run()
         for cell in engine.cells:
             faces = west_sources(cell)
             if len(faces) == 2:
-                wrong = [any(g is f for g in judged[cell.cid]) for f in faces]
-                assert wrong == [(cell.cid, f.neighbor) in engine.wrong_faces for f in faces]
+                wrong = [any(g is f for g in judged[cell.id]) for f in faces]
+                assert wrong == [(cell.id, f.neighbor) in engine.wrong_faces for f in faces]
                 split += wrong[0] != wrong[1]
     assert split > 0
 
@@ -754,8 +753,8 @@ def test_faces_on_one_side_are_judged_by_their_neighbours_rounds():
         judged = {}
 
         def record(cell, consumed):
-            judged[cell.cid] = judge(cell, consumed)
-            return judged[cell.cid]
+            judged[cell.id] = judge(cell, consumed)
+            return judged[cell.id]
 
         engine._judge_speculation = record
         engine.run()
@@ -763,17 +762,14 @@ def test_faces_on_one_side_are_judged_by_their_neighbours_rounds():
             faces = west_sources(cell)
             if len(faces) != 2 or not cell.pred:
                 continue
-            pred = cell.pred[Side.WEST].nonzero()
-            truth = cell.truth[Side.WEST].nonzero()
-            rounds = [
-                cell.win.t0 + cell.graph.node_coords(site)[0]
-                for site in set(pred) ^ set(truth)
-            ]
+            pred = cell.pred[Side.WEST].sites
+            truth = cell.truth[Side.WEST].sites
+            rounds = [cell.t0 + cell.graph.node_coords(site)[0] for site in pred ^ truth]
             hit = []
             for f in faces:
-                nbr = engine.cells[f.neighbor].win
+                nbr = engine.cells[f.neighbor]
                 hit.append(any(nbr.t0 <= t < nbr.t1 for t in rounds))
-            wrong = [any(g is f for g in judged[cell.cid]) for f in faces]
+            wrong = [any(g is f for g in judged[cell.id]) for f in faces]
             assert wrong == hit
             confined += hit.count(True) == 1
     assert confined > 0
@@ -792,7 +788,7 @@ def test_merges_listing_patches_in_either_order_share_one_face(spec):
     engine = _Engine(prog, SimConfig(strategy="parallel", speculation=spec))
     check_timeline(prog, engine.run())
     for cell in engine.cells:
-        nbrs = [f.neighbor for f in cell.win.faces]
+        nbrs = [f.neighbor for f in cell.sources + cell.sinks]
         assert len(nbrs) == len(set(nbrs))
 
 

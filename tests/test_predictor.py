@@ -48,7 +48,7 @@ def test_all_zero_view():
     for fn in PREDICTORS.values():
         pred = fn(view)
         assert pred.declared == []
-        assert pred.bits.nonzero() == {}
+        assert pred.bits.sites == set()
 
 
 def test_isolated_crossing_edge_all_predictors():
@@ -57,7 +57,7 @@ def test_isolated_crossing_edge_all_predictors():
     v = int(g.node_id(5, 2, 1))
     syn = syndrome_of(g, [u, v])
     truth = truth_bits(g, syn)
-    assert truth.nonzero() == {u: 1}
+    assert truth.sites == {u}
     view = boundary_view(g, g.planes[0], syn)
     for fn in PREDICTORS.values():
         pred = fn(view)
@@ -77,7 +77,7 @@ def test_false_positive_cluster_pruned_by_2step():
     v2 = int(g.node_id(7, 2, 2))
     syn = syndrome_of(g, [u1, u2, v1, v2])
     truth = truth_bits(g, syn)
-    assert truth.nonzero() == {}
+    assert truth.sites == set()
     view = boundary_view(g, g.planes[0], syn)
 
     one = classify(predict_1step(view), truth)
@@ -94,7 +94,7 @@ def test_weight2_chain_found_by_3step_only():
     w = int(g.node_id(5, 2, 2))
     syn = syndrome_of(g, [u, w])
     truth = truth_bits(g, syn)
-    assert truth.nonzero() == {int(g.node_id(4, 2, 2)): 1}
+    assert truth.sites == {int(g.node_id(4, 2, 2))}
     view = boundary_view(g, g.planes[0], syn)
 
     one = classify(predict_1step(view), truth)
@@ -117,7 +117,7 @@ def test_sparse_agreement():
     lone = int(g.node_id(8, 0, 0))
     syn = syndrome_of(g, [a1, a2, b1, b2, c1, c2, lone])
     truth = truth_bits(g, syn)
-    assert truth.nonzero() == {a1: 1, b1: 1}
+    assert truth.sites == {a1, b1}
     view = boundary_view(g, g.planes[0], syn)
     for fn in PREDICTORS.values():
         assert fn(view).bits == truth
@@ -138,7 +138,7 @@ def test_deterministic_and_view_unmutated():
     _, syn = g.sample_errors(0.02, rng)
     v1 = boundary_view(g, g.planes[0], syn)
     v2 = boundary_view(g, g.planes[0], syn.copy())
-    bits_before = dict(v1.bits)
+    bits_before = set(v1.bits)
     for fn in PREDICTORS.values():
         p1, p2 = fn(v1), fn(v2)
         assert p1.declared == p2.declared
@@ -148,13 +148,13 @@ def test_deterministic_and_view_unmutated():
 
 
 def test_classify_counts_and_plane_check():
-    pred = Prediction(DependencyBits(0, {3: 1, 5: 1}), 1, [])
-    cls = classify(pred, DependencyBits(0, {5: 1, 9: 1}))
+    pred = Prediction(DependencyBits(0, frozenset({3, 5})), 1, [])
+    cls = classify(pred, DependencyBits(0, frozenset({5, 9})))
     assert (cls.correct, cls.false_positives, cls.false_negatives) == (False, 1, 1)
-    cls = classify(pred, DependencyBits(0, {3: 1, 5: 1}))
+    cls = classify(pred, DependencyBits(0, frozenset({3, 5})))
     assert (cls.correct, cls.false_positives, cls.false_negatives) == (True, 0, 0)
     with pytest.raises(ValueError):
-        classify(pred, DependencyBits(1, {}))
+        classify(pred, DependencyBits(1))
 
 
 def test_evaluate_predictors_rows():

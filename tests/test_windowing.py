@@ -41,7 +41,7 @@ def tile(program, strategy="sliding"):
     """The engine's window cells, indexed by id, for the nominal schedule."""
     engine = _Engine(program, SimConfig(strategy=strategy, stall_blocking=False))
     engine.run()
-    cells = [c.win for c in engine.cells]
+    cells = engine.cells
     assert [c.id for c in cells] == list(range(len(cells)))
     return cells
 
@@ -56,6 +56,11 @@ def by_patch(cells):
 def edges(cells):
     """(source, sink) cell ids, one per shared face."""
     return [(c.id, f.neighbor) for c in cells for f in c.sources]
+
+
+def roles(cell):
+    """The cell's roles: "source" if it owns a face, "sink" if it receives one."""
+    return {role for role, faces in (("source", cell.sources), ("sink", cell.sinks)) if faces}
 
 
 def t_end_cells(program, cells):
@@ -90,7 +95,7 @@ def test_side_geometry():
 def test_parallel_chain_alternates():
     cells = tile(idle_program(5, 25), "parallel")
     assert len(cells) == 5
-    kinds = [{f.kind for f in c.faces} for c in cells]
+    kinds = [roles(c) for c in cells]
     assert kinds == [{"source"}, {"sink"}, {"source"}, {"sink"}, {"source"}]
     assert sorted(edges(cells)) == [(0, 1), (2, 1), (2, 3), (4, 3)]
 
@@ -98,17 +103,17 @@ def test_parallel_chain_alternates():
 def test_sliding_chain_feeds_forward():
     cells = tile(idle_program(5, 25), "sliding")
     assert sorted(edges(cells)) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-    assert cells[0].task_units == 2.0
-    assert cells[2].task_units == 2.0
+    assert cells[0].task_units(5) == 2.0
+    assert cells[2].task_units(5) == 2.0
     # The last cell only receives: commit plus the re-covered buffer.
-    assert cells[4].commit_units + len(cells[4].sources) == 1.0
-    assert cells[4].task_units == 2.0
+    assert cells[4].rounds / 5 + len(cells[4].sources) == 1.0
+    assert cells[4].task_units(5) == 2.0
 
 
 def test_short_final_cell():
     cells = tile(idle_program(5, 13), "sliding")
     assert [(c.t0, c.t1) for c in cells] == [(0, 5), (5, 10), (10, 13)]
-    assert cells[2].commit_units == pytest.approx(3 / 5)
+    assert cells[2].task_units(5) == pytest.approx(3 / 5 + 1)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -126,17 +131,16 @@ def test_tiling_and_consistency(strategy, ix):
             assert e0 == s1
         assert all(e - s >= 1 for s, e in spans)
         assert all(e - s == d for s, e in spans[:-1])
-    # Faces are mirrored with opposite kinds; sources and sinks split faces.
+    # Each face is mirrored on its neighbour, a source by a sink and back.
     seen = 0
     for c in cells:
-        assert sorted(c.sources + c.sinks, key=id) == sorted(c.faces, key=id)
         assert [f.side for f in c.sources] == sorted(f.side for f in c.sources)
-        assert [f.side for f in c.sinks] == sorted(f.side for f in c.sinks)
-        for f in c.faces:
-            back = [bf for bf in cells[f.neighbor].faces if bf.neighbor == c.id]
+        for f in c.sources + c.sinks:
+            nbr = cells[f.neighbor]
+            back = [bf for bf in nbr.sources + nbr.sinks if bf.neighbor == c.id]
             assert len(back) == 1
             assert back[0].side is f.side.mirror
-            assert {f.kind, back[0].kind} == {"source", "sink"}
+            assert (f in c.sources) != (back[0] in nbr.sources)
             seen += 1
     assert seen == 2 * len(edges(cells))
     # Dependency bits flow from sources to sinks without a cycle.
@@ -150,25 +154,21 @@ def test_repeated_t_parallel_sink_aligned_source():
     program = builtin_program("repeated_t", 5, count=6)
     parallel = tile(program, "parallel")
     for c in t_end_cells(program, parallel):
-        assert {f.kind for f in c.faces} == {"sink"}
-        assert c.task_units == 3.0
+        assert roles(c) == {"sink"}
+        assert c.task_units(5) == 3.0
     aligned = tile(program, "aligned")
     for c in t_end_cells(program, aligned):
-        assert {f.kind for f in c.faces} == {"source"}
-        assert c.task_units == 3.0
+        assert roles(c) == {"source"}
+        assert c.task_units(5) == 3.0
     assert aligned_phases(program) == {(0, 0): 1}
 
 
 def test_parallel_source_volumes():
     program = builtin_program("repeated_t", 5, count=6)
     cells = tile(program, "parallel")
-    interior = [
-        c
-        for c in cells
-        if len(c.faces) == 2 and {f.kind for f in c.faces} == {"source"}
-    ]
+    interior = [c for c in cells if len(c.sources) == 2 and not c.sinks]
     assert interior
-    assert all(c.task_units == 3.0 for c in interior)
+    assert all(c.task_units(5) == 3.0 for c in interior)
 
 
 def test_zigzag_is_a_chain():
@@ -180,11 +180,12 @@ def test_zigzag_is_a_chain():
     outs = {src for src, _ in chain}
     ins = {dst for _, dst in chain}
     assert len(outs) == 9 and len(ins) == 9
-    assert all(c.task_units == 2.0 for c in cells)
+    assert all(c.task_units(5) == 2.0 for c in cells)
     # Orientations alternate along each patch's two cells.
     for c in cells:
-        assert len(c.faces) <= 2
-        assert len({f.side.orientation for f in c.faces}) == len(c.faces)
+        faces = c.sources + c.sinks
+        assert len(faces) <= 2
+        assert len({f.side.orientation for f in faces}) == len(faces)
 
 
 def test_aligned_phase_only_for_blocked_patches():
@@ -196,8 +197,10 @@ def test_aligned_phase_only_for_blocked_patches():
 def test_msd_merge_faces():
     program = builtin_program("msd_15to1", 7)
     cells = tile(program, "sliding")
-    assert max(len(c.faces) for c in cells) >= 4
-    spatial = [(c, f) for c in cells for f in c.faces if f.side.orientation == "spatial"]
+    assert max(len(c.sources + c.sinks) for c in cells) >= 4
+    spatial = [
+        (c, f) for c in cells for f in c.sources + c.sinks if f.side.orientation == "spatial"
+    ]
     assert spatial
     for c, f in spatial:
         q = cells[f.neighbor].patch
