@@ -26,7 +26,7 @@ from .pipeline import (
     simulate,
     simulate_many,
 )
-from .predictor import evaluate_predictors, write_accuracy_csv
+from .predictor import check_eval_args, evaluate_predictors, write_accuracy_csv
 from .program import (
     BUILTIN_PROGRAMS,
     Program,
@@ -106,6 +106,8 @@ def _load_program(args: argparse.Namespace) -> Program:
 
 
 def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
+    """The checked config of ``args``; ``_size_pool`` sizes an 'auto' pool,
+    once every config of the command is checked."""
     cfg = SimConfig(
         strategy=args.strategy,
         speculation=args.spec,
@@ -117,12 +119,21 @@ def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
         stall_blocking=not args.no_stall,
         noise_p=args.noise_p,
     )
-    if args.processors == "auto":
-        cfg.processors = processor_heuristic(program, cfg)
-    elif args.processors != "unlimited":
-        cfg.processors = int(args.processors)
+    if args.processors not in ("auto", "unlimited"):
+        try:
+            cfg.processors = int(args.processors)
+        except ValueError:
+            raise ValueError(
+                f"--processors takes a number, 'auto' or 'unlimited', got {args.processors!r}"
+            ) from None
     cfg.validate()
     return cfg
+
+
+def _size_pool(args: argparse.Namespace, program: Program, cfg: SimConfig) -> None:
+    """Set the pool size for ``--processors auto``: a whole probe simulation."""
+    if args.processors == "auto":
+        cfg.processors = processor_heuristic(program, cfg)
 
 
 def _summary_lines(program: Program, cfg: SimConfig, result) -> list[str]:
@@ -151,6 +162,7 @@ def _summary_lines(program: Program, cfg: SimConfig, result) -> list[str]:
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args)
     cfg = _build_config(args, program)
+    _size_pool(args, program, cfg)
     result = simulate(program, cfg)
     for line in _summary_lines(program, cfg, result):
         print(line)
@@ -170,10 +182,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep_latency(args: argparse.Namespace) -> int:
     program = _load_program(args)
+    cfgs = [_build_config(_with(args, latency=text), program) for text in args.latencies]
     print(f"{'latency':>16} {'runtime':>8} {'mean_react':>10} {'max_react':>9}")
-    for text in args.latencies:
-        sweep_args = _with(args, latency=text)
-        cfg = _build_config(sweep_args, program)
+    for text, cfg in zip(args.latencies, cfgs):
+        _size_pool(args, program, cfg)
         result = simulate(program, cfg)
         rs = [r for _, r in result.reactions] or [0]
         print(
@@ -184,6 +196,8 @@ def cmd_sweep_latency(args: argparse.Namespace) -> int:
 
 
 def cmd_predictor_eval(args: argparse.Namespace) -> int:
+    for d in args.d:
+        check_eval_args(d, args.p, args.shots)
     rows = []
     for d in args.d:
         rows.extend(evaluate_predictors(d, args.p, args.shots, seed=args.seed))
@@ -204,10 +218,12 @@ def cmd_recovery_eval(args: argparse.Namespace) -> int:
     if args.shots < 1:
         raise ValueError(f"--shots must be >= 1, got {args.shots}")
     program = _load_program(args)
-    print(f"{'recovery':>12} {'wasted':>10} {'valid':>10} {'mispred':>8}")
     # The recovery scope only acts on mispredictions, and the 'auto' pool
     # probe runs with perfect speculation, so one config per seed serves all.
     cfgs = [_build_config(_with(args, seed=args.seed + s), program) for s in range(args.shots)]
+    for cfg in cfgs:
+        _size_pool(args, program, cfg)
+    print(f"{'recovery':>12} {'wasted':>10} {'valid':>10} {'mispred':>8}")
     for rec in RECOVERY_STRATEGIES:
         wasted, valid, mis = 0, 0, 0
         for result in simulate_many(program, [replace(cfg, recovery=rec) for cfg in cfgs]):

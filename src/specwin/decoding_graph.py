@@ -28,6 +28,7 @@ __all__ = [
     "BoundaryPlane",
     "DependencyBits",
     "build_window_graph",
+    "check_distance",
 ]
 
 AXES = ("t", "row", "col")
@@ -35,6 +36,12 @@ AXES = ("t", "row", "col")
 # Virtual boundary node ids.
 WEST = -1
 EAST = -2
+
+
+def check_distance(d: int) -> None:
+    """Raise ValueError unless ``d`` is an odd code distance >= 3."""
+    if d < 3 or d % 2 == 0:
+        raise ValueError(f"d must be odd and >= 3, got {d}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +88,7 @@ class DecodingGraph:
     """Matching graph for one decoding window."""
 
     def __init__(self, d: int, commit_rounds: int, buffer_spec):
-        if d < 3 or d % 2 == 0:
-            raise ValueError(f"d must be odd and >= 3, got {d}")
+        check_distance(d)
         if commit_rounds < 1:
             raise ValueError(f"commit_rounds must be >= 1, got {commit_rounds}")
         self.d = d
@@ -114,14 +120,20 @@ class DecodingGraph:
     # -- geometry ---------------------------------------------------------
 
     def node_id(self, t, r, c):
-        """Flat node index from (round, row, col) coordinates.
+        """Flat node index from (round, row, col) coordinates: a Python int
+        for int coordinates, an array otherwise.
 
         Raises IndexError if any coordinate lies outside the box.
         """
-        ext = self.extent
-        nt = np.asarray(t) - self.lo["t"]
-        nr = np.asarray(r) - self.lo["row"]
-        nc = np.asarray(c) - self.lo["col"]
+        ext, lo = self.extent, self.lo
+        if type(t) is int and type(r) is int and type(c) is int:
+            nt, nr, nc = t - lo["t"], r - lo["row"], c - lo["col"]
+            if 0 <= nt < ext["t"] and 0 <= nr < ext["row"] and 0 <= nc < ext["col"]:
+                return (nt * ext["row"] + nr) * ext["col"] + nc
+            raise IndexError(f"coordinates ({t}, {r}, {c}) outside the window box")
+        nt = np.asarray(t) - lo["t"]
+        nr = np.asarray(r) - lo["row"]
+        nc = np.asarray(c) - lo["col"]
         ids = (nt * ext["row"] + nr) * ext["col"] + nc
         if isinstance(ids, np.ndarray):
             inside = ((nt >= 0) & (nt < ext["t"]) & (nr >= 0) & (nr < ext["row"])
@@ -217,22 +229,22 @@ class DecodingGraph:
 
     # -- distances (unit weights; the box is convex, so Manhattan is exact)
 
-    def distance(self, u, v):
-        tu, ru, cu = self.node_coords(u)
-        tv, rv, cv = self.node_coords(v)
-        return np.abs(tu - tv) + np.abs(ru - rv) + np.abs(cu - cv)
+    def match_tables(self, ids: np.ndarray):
+        """Matching costs of the nodes ``ids``, from one coordinate pass.
 
-    def boundary_distance(self, u):
-        """Steps to the nearest virtual boundary (west or east column)."""
-        _, _, c = self.node_coords(u)
-        return np.minimum(c - self.lo["col"] + 1, self.hi["col"] - c)
-
-    def nearest_boundary(self, u):
-        """WEST or EAST, whichever is closer (west on ties)."""
-        _, _, c = self.node_coords(u)
+        Returns ``(dist, bdist, nearest)``: the len(ids) x len(ids) matrix
+        of pair distances, each node's steps to the nearer virtual boundary
+        (west or east column), and that boundary, WEST or EAST (west on
+        ties).
+        """
+        # int32 halves the memory the n x n table passes through.
+        t, r, c = self.node_coords(np.asarray(ids, dtype=np.int32))
+        dist = np.abs(np.subtract.outer(t, t))
+        dist += np.abs(np.subtract.outer(r, r))
+        dist += np.abs(np.subtract.outer(c, c))
         west = c - self.lo["col"] + 1
         east = self.hi["col"] - c
-        return np.where(west <= east, WEST, EAST)
+        return dist, np.minimum(west, east), np.where(west <= east, WEST, EAST)
 
     # -- adjacency helpers --------------------------------------------------
 

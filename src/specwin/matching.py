@@ -1,14 +1,25 @@
 """Reference inner decoder: minimum-weight matching on window graphs.
 
-Exact mode provably minimizes total weight: defects are first split into
-independent clusters (two defects can only be worth pairing if their
-separation beats the cost of sending both to the boundary).  Every
-cluster is sized against the cap before any is enumerated, so a decode
-that falls back to greedy wastes no enumeration.  Each cluster is then
-solved by enumeration over pairings with boundary options, memoized on an
-int bitmask of the cluster's remaining defects.  Greedy mode repeatedly
-pairs the globally closest remaining defects, taking candidates from one
-array sort.  Unit edge weights throughout, so weight equals path length.
+Both modes read the tables of one coordinate pass (pair distances,
+boundary distances, nearest boundaries) and only try the pairs that they
+could choose.
+
+Exact mode provably minimizes total weight.  Two defects are useful
+partners only if their separation is strictly smaller than the cost of
+sending both to the boundary; pairing any other two never beats that.
+Useful pairs split the defects into independent clusters, found in numpy
+by min-label propagation.  Every cluster is sized against the cap before
+any is solved, so a decode that falls back to greedy wastes no
+enumeration.  A one-member cluster goes to its nearest boundary; the
+rest are solved by enumeration over pairings with boundary options,
+trying useful partners only, memoized on an int bitmask of the cluster's
+remaining defects.
+
+Greedy mode repeatedly pairs the globally closest remaining defects.  A
+defect still unmatched at its own boundary candidate takes it, so greedy
+sorts the boundary candidates plus only the pairs that come before both
+endpoints' boundary candidates.  Unit edge weights throughout, so weight
+equals path length.
 
 Matched paths follow a canonical route (row moves, then column moves,
 then temporal moves, starting from the lower-id endpoint), which fixes
@@ -88,13 +99,11 @@ def _greedy(g: DecodingGraph, lit: np.ndarray):
     -1 for the boundary, sort the candidates the same way.
     """
     n = lit.size
-    iu, ju = np.triu_indices(n, 1)
-    w = np.concatenate([g.boundary_distance(lit), g.distance(lit[iu], lit[ju])])
-    a = np.concatenate([np.arange(n), iu])
-    b = np.concatenate([np.full(n, -1), ju])
+    dist, bdist, nearest = g.match_tables(lit)
+    w, a, b = _greedy_candidates(dist, bdist)
     order = np.lexsort((b, a, w)).tolist()
     w, a, b = w.tolist(), a.tolist(), b.tolist()
-    nodes, nearest = lit.tolist(), g.nearest_boundary(lit).tolist()
+    nodes, nearest = lit.tolist(), nearest.tolist()
     matched = [False] * n
     left = n
     pairs = []
@@ -115,56 +124,110 @@ def _greedy(g: DecodingGraph, lit: np.ndarray):
     return pairs, weight
 
 
+def _greedy_candidates(dist: np.ndarray, bdist: np.ndarray):
+    """Greedy's candidates as (weight, i, j) arrays: every node's boundary
+    candidate (j = -1), then the pairs that can ever be taken.
+
+    A node still unmatched at its own boundary candidate (b_i, i, -1) takes
+    it, so a pair (w, i, j), i < j, is taken only if it sorts before both
+    endpoints' boundary candidates: w < b_i and w <= b_j.
+    """
+    n = bdist.size
+    iu, ju = np.nonzero((dist < bdist[:, None]) & (dist <= bdist[None, :]))
+    upper = iu < ju
+    iu, ju = iu[upper], ju[upper]
+    return (
+        np.concatenate([bdist, dist[iu, ju]]),
+        np.concatenate([np.arange(n), iu]),
+        np.concatenate([np.full(n, -1), ju]),
+    )
+
+
+def _clusters(cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Each node's cluster label: the smallest node linked to it by a chain
+    of useful pairs.  Node i's useful partners, itself included, are
+    ``cols[starts[i]:starts[i + 1]]``.
+
+    Min-label propagation with pointer jumping: each round takes the
+    smallest label among a node's partners, then that label's own label,
+    until nothing changes.
+    """
+    labels = np.minimum.reduceat(cols, starts)
+    while True:
+        new = np.minimum.reduceat(labels[cols], starts)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
-    dmat = g.distance(lit[:, None], lit[None, :])
-    bdist = g.boundary_distance(lit)
+    """Cluster the defects, size every cluster against ``cap``, then solve
+    each cluster in order of its smallest member."""
+    dist, bdist, nearest = g.match_tables(lit)
     # Pairing u with v can only beat boundary-matching both when their
-    # separation is strictly smaller; such pairs define the clusters.
-    useful = dmat < (bdist[:, None] + bdist[None, :])
+    # separation is strictly smaller; such pairs define the clusters.  The
+    # diagonal is useful too, so every node's partners form one nonempty
+    # run of the row-major flat indices.
     n = lit.size
-    parent = list(range(n))
+    flat = np.flatnonzero(dist < (bdist[:, None] + bdist[None, :]))
+    cols = flat % n
+    starts = np.searchsorted(flat, np.arange(0, n * n, n))
+    labels = _clusters(cols, starts)
+    sizes = np.bincount(labels)
+    big = np.flatnonzero(sizes > cap)
+    if big.size:
+        raise ExactCapExceeded(
+            f"cluster of {sizes[big[0]]} defects exceeds cap {cap}"
+        )
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    # Members grouped by cluster, clusters by smallest member, members
+    # ascending.  ``local`` is each node's index within its cluster, and
+    # ``adj`` its useful partners as a bitmask of those indices.
+    order = np.argsort(labels, kind="stable")
+    counts = sizes[sizes > 0]
+    ends = np.cumsum(counts)
+    local = np.empty_like(order)
+    local[order] = np.arange(order.size) - np.repeat(ends - counts, counts)
+    adj = np.bitwise_or.reduceat(np.left_shift(1, local)[cols], starts).tolist()
 
-    for i, j in zip(*(k.tolist() for k in np.nonzero(np.triu(useful, 1)))):
-        parent[find(i)] = find(j)
-    clusters: dict[int, list[int]] = {}
-    for i in range(n):
-        clusters.setdefault(find(i), []).append(i)
-    for members in clusters.values():
-        if len(members) > cap:
-            raise ExactCapExceeded(
-                f"cluster of {len(members)} defects exceeds cap {cap}"
-            )
-
-    nodes = lit.tolist()
-    nearest = g.nearest_boundary(lit).tolist()
-    drows, brow = dmat.tolist(), bdist.tolist()
+    nodes, nearest = lit.tolist(), nearest.tolist()
+    drows, brow, order = dist.tolist(), bdist.tolist(), order.tolist()
     pairs = []
     weight = 0
-    for members in clusters.values():
-        dist = [[drows[i][j] for j in members] for i in members]
-        w, local = _enumerate_cluster(
-            (1 << len(members)) - 1, dist, [brow[i] for i in members], {}
+    lo = 0
+    for hi in ends.tolist():
+        members = order[lo:hi]
+        lo = hi
+        if len(members) == 1:
+            u = members[0]
+            pairs.append((nodes[u], nearest[u]))
+            weight += brow[u]
+            continue
+        w, found = _enumerate_cluster(
+            (1 << len(members)) - 1,
+            [[drows[i][j] for j in members] for i in members],
+            [brow[i] for i in members],
+            [adj[i] for i in members],
+            {},
         )
         weight += w
-        for i, j in local:
+        for i, j in found:
             u = members[i]
             pairs.append((nodes[u], nearest[u] if j < 0 else nodes[members[j]]))
     return pairs, weight
 
 
-def _enumerate_cluster(mask: int, dist, bdist, memo: dict):
+def _enumerate_cluster(mask: int, dist, bdist, adj, memo: dict):
     """Minimum (weight, pairs) over pairings of the cluster-local indices
     set in ``mask``, each with a partner or the boundary (-1).
 
     The lowest index pairs first with the boundary, then with each higher
-    index in turn; a later option wins only if strictly lighter.  ``dist``
-    and ``bdist`` are lists, and ``memo`` caches solved masks.
+    useful partner in turn (bitmask ``adj[u]``); a later option wins only
+    if strictly lighter.  A partner v with d(u,v) >= b(u) + b(v) is never
+    tried: its option weighs at least b(u) + b(v) + f(rest - v) >=
+    b(u) + f(rest), the boundary option.  ``dist``, ``bdist`` and ``adj``
+    are lists, and ``memo`` caches solved masks.
     """
     if not mask:
         return 0, ()
@@ -174,16 +237,16 @@ def _enumerate_cluster(mask: int, dist, bdist, memo: dict):
     low = mask & -mask
     u = low.bit_length() - 1
     rest = mask ^ low
-    best_w, best_p = _enumerate_cluster(rest, dist, bdist, memo)
+    best_w, best_p = _enumerate_cluster(rest, dist, bdist, adj, memo)
     best_w += bdist[u]
     best_v = -1
     row = dist[u]
-    todo = rest
+    todo = rest & adj[u]
     while todo:
         bit = todo & -todo
         todo ^= bit
         v = bit.bit_length() - 1
-        w, p = _enumerate_cluster(rest ^ bit, dist, bdist, memo)
+        w, p = _enumerate_cluster(rest ^ bit, dist, bdist, adj, memo)
         w += row[v]
         if w < best_w:
             best_w, best_p, best_v = w, p, v
@@ -204,26 +267,26 @@ def crossing_site(g, plane: BoundaryPlane, u: int, v: int):
     endpoint's site.
     """
     if v < 0:
-        t, r, c = (int(x) for x in g.node_coords(u))
         if plane.side.axis != "col":
             return None
+        t, r, c = g.node_coords(u)
         lo, hi = (g.lo["col"] - 1, c) if v == WEST else (c, g.hi["col"])
         if lo <= plane.cut < hi:
-            return int(g.node_id(t, r, plane.node_layer))
+            return g.node_id(t, r, plane.node_layer)
         return None
     a, b = min(u, v), max(u, v)
-    ta, ra, ca = (int(x) for x in g.node_coords(a))
-    tb, rb, cb = (int(x) for x in g.node_coords(b))
+    ta, ra, ca = g.node_coords(a)
+    tb, rb, cb = g.node_coords(b)
     axis = plane.side.axis
     if axis == "t":
         if ta <= plane.cut < tb:
-            return int(g.node_id(plane.node_layer, rb, cb))
+            return g.node_id(plane.node_layer, rb, cb)
     elif axis == "row":
         if min(ra, rb) <= plane.cut < max(ra, rb):
-            return int(g.node_id(ta, plane.node_layer, ca))
+            return g.node_id(ta, plane.node_layer, ca)
     else:
         if min(ca, cb) <= plane.cut < max(ca, cb):
-            return int(g.node_id(ta, rb, plane.node_layer))
+            return g.node_id(ta, rb, plane.node_layer)
     return None
 
 

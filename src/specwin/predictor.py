@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding_graph import AXES, BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
-from .decoding_graph import build_window_graph
+from .decoding_graph import build_window_graph, check_distance
 from .matching import ExactCapExceeded, crossing_site, decode, extract_dependency_bits
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "predict_2step",
     "predict_3step",
     "classify",
+    "check_eval_args",
     "evaluate_predictors",
     "write_accuracy_csv",
 ]
@@ -108,12 +109,12 @@ def predict_1step(v: BoundaryView) -> Prediction:
     k = AXES.index(plane.side.axis)
     declared = []
     for u in sorted(v.bits):
-        coords = [int(x) for x in g.node_coords(u)]
+        coords = list(g.node_coords(u))
         if coords[k] != plane.node_layer:
             continue
         # A commit-layer node's crossing edge leads one step into the buffer.
         coords[k] += plane.side.direction
-        partner = int(g.node_id(*coords))
+        partner = g.node_id(*coords)
         if partner in v.bits:
             declared.append(("edge", u, partner))
     sites = frozenset(u for _, u, _ in declared)
@@ -179,10 +180,10 @@ def predict_3step(v: BoundaryView) -> Prediction:
     g = v.g
     declared, snapshot, toggles = _two_step(v)
     for a in sorted(snapshot):
-        ta, ra, ca = (int(x) for x in g.node_coords(a))
+        ta, ra, ca = g.node_coords(a)
         for dt, dr, dc in _W2_OFFSETS:
             try:
-                b = int(g.node_id(ta + dt, ra + dr, ca + dc))
+                b = g.node_id(ta + dt, ra + dr, ca + dc)
             except IndexError:
                 continue
             if b not in snapshot:
@@ -212,6 +213,15 @@ PREDICTORS = {
 }
 
 
+def check_eval_args(d: int, p: float, shots: int) -> None:
+    """Raise ValueError unless ``evaluate_predictors(d, p, shots)`` can run."""
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    if not 0 <= p <= 1:
+        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_distance(d)
+
+
 def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dict]:
     """Score all predictors over sampled windows of one shape.
 
@@ -221,8 +231,7 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     classifies every predictor on the same syndrome.  Rates are the
     fraction of shots with at least one false positive (resp. negative).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_eval_args(d, p, shots)
     g = build_window_graph(d, d, [("temporal", "future")])
     plane = g.planes[0]
     rng = np.random.default_rng([seed, d])

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from specwin import cli
+from specwin import cli, pipeline
 from specwin.cli import main
 from specwin.pipeline import LatencyModel, SimConfig, simulate
 from specwin.program import builtin_program, serialize_program
@@ -193,6 +193,56 @@ def test_eval_commands_reject_shots_below_one(argv, monkeypatch, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "shots" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-latency", "--d", "3", "fixed:4", "fixed:0"],
+        ["sweep-latency", "--d", "3", "--processors", "auto", "fixed:4", "fixed:0"],
+        ["recovery-eval", "--accuracy", "1.5"],
+        ["predictor-eval", "--d", "5", "4"],
+        ["predictor-eval", "--d", "5", "--p", "1.5"],
+    ],
+)
+def test_bad_input_fails_before_anything_runs(argv, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before validating")
+
+    for name in ("simulate", "simulate_many", "processor_heuristic", "evaluate_predictors"):
+        monkeypatch.setattr(cli, name, no_run)
+    # processor_heuristic's probe goes through the pipeline's own name.
+    monkeypatch.setattr(pipeline, "simulate", no_run)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_processors_auto_probes_only_valid_configs(monkeypatch, capsys):
+    probes = []
+    simulate_fn = pipeline.simulate
+
+    def counting(program, cfg):
+        probes.append(cfg)
+        return simulate_fn(program, cfg)
+
+    monkeypatch.setattr(pipeline, "simulate", counting)
+    rc = main(["run", "--d", "3", "--processors", "auto", "--accuracy", "1.5"])
+    assert rc == 2
+    assert probes == []
+    assert "accuracy" in capsys.readouterr().err
+
+
+def test_processors_rejects_a_non_number(capsys):
+    rc = main(["run", "--d", "3", "--processors", "abc"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --processors takes a number, 'auto' or 'unlimited', got 'abc'\n"
+    )
 
 
 def test_recovery_eval_table_matches_serial_runs(capsys):

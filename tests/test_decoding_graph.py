@@ -130,16 +130,13 @@ def test_distances_match_bfs():
         5, 5, [("temporal", "past"), ("temporal", "future"), ("spatial", "east")]
     )
     rng = np.random.default_rng(3)
-    sources = rng.choice(g.node_count, size=12, replace=False)
-    targets = rng.choice(g.node_count, size=40, replace=False)
-    for s in sources:
-        dist = bfs_distances(g, int(s))
-        for t in targets:
-            assert dist[int(t)] == g.distance(int(s), int(t))
-        want_b = min(dist[WEST], dist[EAST])
-        assert want_b == g.boundary_distance(int(s))
-        near = WEST if dist[WEST] <= dist[EAST] else EAST
-        assert near == g.nearest_boundary(int(s))
+    ids = np.sort(rng.choice(g.node_count, size=40, replace=False))
+    table, bdist, nearest = g.match_tables(ids)
+    for i, s in enumerate(ids.tolist()[:12]):
+        dist = bfs_distances(g, s)
+        assert [dist[t] for t in ids.tolist()] == table[i].tolist()
+        assert min(dist[WEST], dist[EAST]) == bdist[i]
+        assert nearest[i] == (WEST if dist[WEST] <= dist[EAST] else EAST)
 
 
 def test_plane_geometry():
@@ -181,3 +178,5 @@ def test_node_id_rejects_coordinates_outside_the_box():
                 g.node_id(*past)
             with pytest.raises(IndexError):
                 g.node_id(*(np.array([x, y]) for x, y in zip(corner, past)))
+            with pytest.raises(IndexError):
+                g.node_id(*(np.int64(x) for x in past))

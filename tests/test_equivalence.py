@@ -1,21 +1,25 @@
 """The predictor's and the matcher's fast paths against plain references.
 
 Each reference is the straightforward form of the same algorithm: 2-step
-candidate edges from the graph's edge list, greedy matching from a heap of
-every candidate, and cluster enumeration memoized on frozensets.  The fast
-paths must reproduce their output exactly, tie-breaks included.
+candidate edges from the graph's edge list; greedy matching from a heap
+of every candidate, and from one sort of every candidate; clusters from a
+union over every useful pair; and cluster enumeration over every
+partner, memoized on frozensets.  The fast paths, which only try the
+pairs that can win, must reproduce their output exactly, tie-breaks
+included.
 """
 import heapq
+import itertools
 from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specwin.decoding_graph import Syndrome, build_window_graph
-from specwin.matching import ExactCapExceeded, crossing_site, decode
-from specwin.matching import _enumerate_cluster, _exact, _greedy
+from specwin.decoding_graph import AXES, Syndrome, build_window_graph
+from specwin.matching import ExactCapExceeded, crossing_site
+from specwin.matching import _enumerate_cluster, _exact, _greedy, _greedy_candidates
 from specwin.predictor import MAX_COUNTER_SUM, BoundaryView, _two_step, boundary_view
 from test_golden import FACE_SETS
 
@@ -59,9 +63,7 @@ def two_step_reference(v):
 
 def greedy_reference(g, lit):
     """Pop (weight, u, v) candidates off a heap of every candidate."""
-    dmat = g.distance(lit[:, None], lit[None, :])
-    bdist = g.boundary_distance(lit)
-    nearest = g.nearest_boundary(lit)
+    dmat, bdist, nearest = g.match_tables(lit)
     heap = []
     nodes, rows = lit.tolist(), dmat.tolist()
     for i, u in enumerate(nodes):
@@ -79,6 +81,32 @@ def greedy_reference(g, lit):
         matched.add(u)
         if v >= 0:
             matched.add(v)
+    return pairs, weight
+
+
+def full_greedy_reference(g, lit):
+    """Walk one lexsort of every (weight, i, j) candidate, every pair
+    included."""
+    n = lit.size
+    dmat, bdist, nearest = g.match_tables(lit)
+    iu, ju = np.triu_indices(n, 1)
+    w = np.concatenate([bdist, dmat[iu, ju]])
+    a = np.concatenate([np.arange(n), iu])
+    b = np.concatenate([np.full(n, -1), ju])
+    order = np.lexsort((b, a, w)).tolist()
+    w, a, b = w.tolist(), a.tolist(), b.tolist()
+    nodes, nearest = lit.tolist(), nearest.tolist()
+    matched = [False] * n
+    pairs, weight = [], 0
+    for k in order:
+        i, j = a[k], b[k]
+        if matched[i] or (j >= 0 and matched[j]):
+            continue
+        pairs.append((nodes[i], nearest[i] if j < 0 else nodes[j]))
+        weight += w[k]
+        matched[i] = True
+        if j >= 0:
+            matched[j] = True
     return pairs, weight
 
 
@@ -106,9 +134,7 @@ def enumerate_reference(remaining, dmat, bdist, memo):
 def exact_reference(g, lit, cap):
     """Cluster by a union over every useful pair, then enumerate each
     cluster in turn, raising at the first one past the cap."""
-    dmat = g.distance(lit[:, None], lit[None, :])
-    bdist = g.boundary_distance(lit)
-    nearest = g.nearest_boundary(lit)
+    dmat, bdist, nearest = g.match_tables(lit)
     useful = dmat < (bdist[:, None] + bdist[None, :])
     n = lit.size
     parent = list(range(n))
@@ -151,6 +177,22 @@ def lit_window(draw, ds=(3, 5, 7), k=None, max_lit=40):
     return g, np.array(sorted(nodes), dtype=np.intp)
 
 
+@st.composite
+def sampled_window(draw):
+    """A window graph and the lit nodes of one sampled syndrome, up to about
+    120 of them: the size of the windows that fall back to greedy."""
+    d = draw(st.sampled_from((9, 13)))
+    g = graph(d, d, draw(st.integers(0, len(FACE_SETS) - 1)))
+    p = draw(st.sampled_from((2e-3, 5e-3, 1e-2)))
+    _, syn = g.sample_errors(p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    lit = syn.lit()
+    assume(0 < lit.size <= 130)
+    return g, lit
+
+
+big_window = st.one_of(lit_window(ds=(7, 9), max_lit=120), sampled_window())
+
+
 # -- tests ---------------------------------------------------------------------
 
 
@@ -178,6 +220,34 @@ def test_greedy_matches_heap_reference(window):
     assert _greedy(g, lit) == greedy_reference(g, lit)
 
 
+@settings(max_examples=120, deadline=None)
+@given(window=big_window)
+def test_pruned_greedy_matches_full_candidate_greedy(window):
+    g, lit = window
+    assert _greedy(g, lit) == full_greedy_reference(g, lit)
+
+
+@settings(max_examples=100, deadline=None)
+@given(window=st.one_of(lit_window(), big_window))
+def test_greedy_sorts_only_pairs_that_can_win(window):
+    """Greedy's candidates are the boundary candidates plus exactly the
+    pairs that sort before both endpoints' boundary candidates."""
+    g, lit = window
+    dmat, bdist, _ = g.match_tables(lit)
+    w, a, b = (x.tolist() for x in _greedy_candidates(dmat, bdist))
+    n = lit.size
+    bd = bdist.tolist()
+    assert list(zip(w, a, b))[:n] == [(bd[i], i, -1) for i in range(n)]
+    want = {
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if (dmat[i, j], i, j) < (bd[i], i, -1) and (dmat[i, j], i, j) < (bd[j], j, -1)
+    }
+    assert sorted(zip(a[n:], b[n:])) == sorted(want)
+    assert all(w[k] == dmat[a[k], b[k]] for k in range(n, len(w)))
+
+
 @st.composite
 def tied_costs(draw):
     """Symmetric small-integer pair costs and boundary costs, full of ties."""
@@ -193,10 +263,16 @@ def tied_costs(draw):
 @settings(max_examples=200, deadline=None)
 @given(costs=tied_costs())
 def test_bitmask_enumeration_matches_frozenset_reference(costs):
+    """Enumeration over useful partners only (the reference tries every
+    partner)."""
     dist, bdist = costs
     n = len(bdist)
+    adj = [
+        sum(1 << v for v in range(n) if v != u and dist[u][v] < bdist[u] + bdist[v])
+        for u in range(n)
+    ]
     want = enumerate_reference(frozenset(range(n)), dist, bdist, {})
-    assert _enumerate_cluster((1 << n) - 1, dist, bdist, {}) == want
+    assert _enumerate_cluster((1 << n) - 1, dist, bdist, adj, {}) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,3 +288,37 @@ def test_exact_matches_cluster_by_cluster_reference(window, cap):
             _exact(g, lit, cap)
         return
     assert _exact(g, lit, cap) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=big_window)
+def test_exact_matches_reference_on_fallback_sized_windows(window):
+    """At the decoder's own cap, on windows as large as the ones that fall
+    back to greedy."""
+    g, lit = window
+    try:
+        want = exact_reference(g, lit, 12)
+    except ExactCapExceeded as exc:
+        with pytest.raises(ExactCapExceeded, match=str(exc)):
+            _exact(g, lit, 12)
+        return
+    assert _exact(g, lit, 12) == want
+
+
+@pytest.mark.parametrize("k", range(len(FACE_SETS)))
+def test_node_id_int_path_matches_array_path(k):
+    """Over the box and one step past each face: int coordinates give the
+    array path's id as a Python int, and both paths raise outside."""
+    g = graph(3, 2, k)
+    spans = [range(g.lo[a] - 1, g.hi[a] + 1) for a in AXES]
+    for coords in itertools.product(*spans):
+        arrays = [np.array([x]) for x in coords]
+        if all(g.lo[a] <= x < g.hi[a] for a, x in zip(AXES, coords)):
+            got = g.node_id(*coords)
+            assert type(got) is int
+            assert got == g.node_id(*arrays)[0]
+        else:
+            with pytest.raises(IndexError):
+                g.node_id(*coords)
+            with pytest.raises(IndexError):
+                g.node_id(*arrays)
