@@ -1,10 +1,12 @@
 """Reference inner decoder: minimum-weight matching on window graphs.
 
-Both modes read the tables of one coordinate pass (pair distances,
-boundary distances, nearest boundaries) and only try the pairs that they
-could choose.
+``decode`` is the one entry point.  It reads the tables of one
+coordinate pass (pair distances, boundary distances, nearest
+boundaries), matches exactly, and runs greedy on the same tables when a
+defect cluster is too large to enumerate.  Both only try the pairs that
+they could choose.
 
-Exact mode provably minimizes total weight.  Two defects are useful
+Exact matching provably minimizes total weight.  Two defects are useful
 partners only if their separation is strictly smaller than the cost of
 sending both to the boundary; pairing any other two never beats that.
 Useful pairs split the defects into independent clusters, found in numpy
@@ -15,11 +17,12 @@ rest are solved by enumeration over pairings with boundary options,
 trying useful partners only, memoized on an int bitmask of the cluster's
 remaining defects.
 
-Greedy mode repeatedly pairs the globally closest remaining defects.  A
-defect still unmatched at its own boundary candidate takes it, so greedy
-sorts the boundary candidates plus only the pairs that come before both
-endpoints' boundary candidates.  Unit edge weights throughout, so weight
-equals path length.
+Greedy matching repeatedly pairs the globally closest remaining defects.
+A defect still unmatched at its own boundary candidate takes it, so
+greedy sorts the boundary candidates plus only the pairs that come
+before both endpoints' boundary candidates.  Unit edge weights
+throughout, so weight equals path length.  Both emit each pair lower id
+first (``lit`` is sorted), with the boundary (< 0) second.
 
 Matched paths follow a canonical route (row moves, then column moves,
 then temporal moves, starting from the lower-id endpoint), which fixes
@@ -42,7 +45,6 @@ from .decoding_graph import (
 
 __all__ = [
     "Matching",
-    "ExactCapExceeded",
     "decode",
     "extract_dependency_bits",
     "crossing_site",
@@ -52,7 +54,7 @@ DEFAULT_CAP = 12
 
 
 class ExactCapExceeded(ValueError):
-    """Raised when an exact decode would enumerate too many defects."""
+    """Raised when exact matching would enumerate too many defects."""
 
 
 @dataclass
@@ -63,43 +65,34 @@ class Matching:
     weight: int
 
 
-def _pair_key(u: int, v: int) -> tuple[int, int]:
-    if v >= 0 and v < u:
-        return (v, u)
-    return (u, v)
-
-
-def decode(g: DecodingGraph, s: Syndrome, mode: str = "exact") -> Matching:
+def decode(g: DecodingGraph, s: Syndrome) -> Matching:
     """Match all lit syndrome nodes, to each other or to the boundary.
 
-    Exact mode sizes every independent defect cluster first and raises
-    ExactCapExceeded, before enumerating any cluster, if one holds more
-    than ``DEFAULT_CAP`` defects (callers fall back to greedy).  Greedy
-    mode always succeeds but may exceed the minimum weight.
+    The matching has minimum weight when every independent defect cluster
+    holds at most ``DEFAULT_CAP`` defects.  Otherwise it is greedy's, which
+    may exceed the minimum; both read the same tables.
     """
     lit = s.lit()
     if lit.size == 0:
         return Matching([], 0)
-    if mode == "greedy":
-        pairs, weight = _greedy(g, lit)
-    elif mode == "exact":
-        pairs, weight = _exact(g, lit, DEFAULT_CAP)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    pairs = sorted(_pair_key(u, v) for u, v in pairs)
-    return Matching(pairs, int(weight))
+    tables = g.match_tables(lit)
+    try:
+        pairs, weight = _exact(lit, *tables, DEFAULT_CAP)
+    except ExactCapExceeded:
+        pairs, weight = _greedy(lit, *tables)
+    return Matching(sorted(pairs), weight)
 
 
-def _greedy(g: DecodingGraph, lit: np.ndarray):
+def _greedy(lit: np.ndarray, dist, bdist, nearest):
     """Take candidates in increasing (weight, u, v) order, skipping any with
     a matched endpoint.
 
     Each lit node has one boundary candidate (v < 0) and one per higher lit
     partner, so the key is unique.  ``lit`` is sorted, so local indices, with
-    -1 for the boundary, sort the candidates the same way.
+    -1 for the boundary, sort the candidates the same way.  The tables are
+    ``match_tables(lit)``'s.
     """
     n = lit.size
-    dist, bdist, nearest = g.match_tables(lit)
     w, a, b = _greedy_candidates(dist, bdist)
     order = np.lexsort((b, a, w)).tolist()
     w, a, b = w.tolist(), a.tolist(), b.tolist()
@@ -161,10 +154,10 @@ def _clusters(cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
         labels = new
 
 
-def _exact(g: DecodingGraph, lit: np.ndarray, cap: int):
+def _exact(lit: np.ndarray, dist, bdist, nearest, cap: int):
     """Cluster the defects, size every cluster against ``cap``, then solve
-    each cluster in order of its smallest member."""
-    dist, bdist, nearest = g.match_tables(lit)
+    each cluster in order of its smallest member.  The tables are
+    ``match_tables(lit)``'s."""
     # Pairing u with v can only beat boundary-matching both when their
     # separation is strictly smaller; such pairs define the clusters.  The
     # diagonal is useful too, so every node's partners form one nonempty

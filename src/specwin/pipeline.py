@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from .decoding_graph import Syndrome, build_window_graph
-from .matching import ExactCapExceeded, decode, extract_dependency_bits
+from .matching import decode, extract_dependency_bits
 from .predictor import boundary_view, predict_3step
 from .program import Instruction, Program, ProgramError, validate
 from .windowing import STRATEGIES, Face, Side, WindowCell, aligned_phases, owns_face
@@ -143,17 +143,19 @@ class LatencyModel:
             raise ValueError(f"unknown latency kind {self.kind!r}")
         if self.kind == "fixed" and self.rounds < 1:
             raise ValueError("fixed latency must be >= 1 round")
-        if self.kind == "linear" and self.rate <= 0:
-            raise ValueError("linear latency rate must be positive")
+        if self.kind == "linear" and not (math.isfinite(self.rate) and self.rate > 0):
+            raise ValueError("linear latency rate must be positive and finite")
         if self.kind == "empirical" and not self.buckets:
             raise ValueError("empirical latency needs at least one bucket")
 
 
 def _parse_rounds(text: str, d: int) -> int:
     text = text.strip()
-    if text.endswith("d"):
-        return int(math.ceil(float(text[:-1] or "1") * d - 1e-9))
-    return int(float(text))
+    per_d = text.endswith("d")
+    rounds = float(text[:-1] or "1") * d - 1e-9 if per_d else float(text)
+    if not math.isfinite(rounds) or not (per_d or rounds.is_integer()):
+        raise ValueError(f"fixed latency takes whole rounds or a finite multiple of d, got {text!r}")
+    return math.ceil(rounds)
 
 
 def parse_latency(text: str, d: int) -> LatencyModel:
@@ -420,10 +422,9 @@ class _Release:
 
 
 class _PatchState:
-    __slots__ = ("patch", "order", "next_i", "prev_gi", "birth", "death", "cells")
+    __slots__ = ("order", "next_i", "prev_gi", "birth", "death", "cells")
 
-    def __init__(self, patch: tuple, order: list[int]):
-        self.patch = patch
+    def __init__(self, order: list[int]):
         self.order = order
         self.next_i = 0
         self.prev_gi: int | None = None
@@ -434,7 +435,6 @@ class _PatchState:
 
 class _Engine:
     def __init__(self, program: Program, cfg: SimConfig):
-        self.program = program
         self.cfg = cfg
         self.d = program.distance
         self.instructions = program.instructions
@@ -446,7 +446,7 @@ class _Engine:
             for p in ins.patches:
                 per_patch.setdefault(p, []).append(i)
         self.pstate = {
-            p: _PatchState(p, sorted(order, key=lambda i: self.instructions[i].start_round))
+            p: _PatchState(sorted(order, key=lambda i: self.instructions[i].start_round))
             for p, order in per_patch.items()
         }
         self.patch_order = sorted(self.pstate)
@@ -620,7 +620,7 @@ class _Engine:
             if qs.next_i >= len(qs.order):
                 qs.death = end
                 self._apply_death(q)
-        if ins.merging and len(ins.patches) > 1:
+        if ins.merging:
             patches = list(ins.patches)
             for i, pa in enumerate(patches):
                 for pb in patches[i + 1:]:
@@ -924,11 +924,8 @@ class _Engine:
             for nid in src.truth[f.side.mirror].sites:
                 loc = self._project(f, src, cell, nid)
                 if loc is not None:
-                    bits[int(g.node_id(*loc))] ^= 1
-        try:
-            m = decode(g, Syndrome(bits), mode="exact")
-        except ExactCapExceeded:
-            m = decode(g, Syndrome(bits), mode="greedy")
+                    bits[g.node_id(*loc)] ^= 1
+        m = decode(g, Syndrome(bits))
         for plane in g.planes:
             cell.truth[plane.side] = extract_dependency_bits(m, g, plane)
 
@@ -942,7 +939,7 @@ class _Engine:
         chains are not this sink's.  The site lands on the sink's face
         layer.
         """
-        t, r, c = (int(x) for x in src.graph.node_coords(nid))
+        t, r, c = src.graph.node_coords(nid)
         box = self._graph(dst).commit_hi
         side = f.side
         if side.axis == "t":
@@ -1027,7 +1024,7 @@ def simulate(program: Program, cfg: SimConfig | None = None) -> SimResult:
     cfg.validate()
     diags = validate(program)
     if diags:
-        raise ProgramError("; ".join(diags))
+        raise ProgramError("; ".join(map(str, diags)))
     if not program.instructions:
         raise ProgramError("program has no instructions")
     # A run's cells, tasks and events live until it returns, so collections

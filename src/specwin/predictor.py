@@ -34,7 +34,7 @@ import numpy as np
 
 from .decoding_graph import AXES, BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
 from .decoding_graph import build_window_graph, check_distance
-from .matching import ExactCapExceeded, crossing_site, decode, extract_dependency_bits
+from .matching import crossing_site, decode, extract_dependency_bits
 
 __all__ = [
     "BoundaryView",
@@ -226,10 +226,9 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     """Score all predictors over sampled windows of one shape.
 
     Each shot samples a d-round commit with a future temporal buffer,
-    takes the reference decoder's crossing bits as truth (exact mode,
-    greedy when a defect cluster exceeds the enumeration cap), and
-    classifies every predictor on the same syndrome.  Rates are the
-    fraction of shots with at least one false positive (resp. negative).
+    takes the crossing bits of ``matching.decode`` as truth, and classifies
+    every predictor on the same syndrome.  Rates are the fraction of shots
+    with at least one false positive (resp. negative).
     """
     check_eval_args(d, p, shots)
     g = build_window_graph(d, d, [("temporal", "future")])
@@ -240,11 +239,7 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     fn_shots = {name: 0 for name in PREDICTORS}
     for _ in range(shots):
         _, syn = g.sample_errors(p, rng)
-        try:
-            m = decode(g, syn, "exact")
-        except ExactCapExceeded:
-            m = decode(g, syn, "greedy")
-        truth = extract_dependency_bits(m, g, plane)
+        truth = extract_dependency_bits(decode(g, syn), g, plane)
         view = boundary_view(g, plane, syn)
         for name, fn in PREDICTORS.items():
             cls = classify(fn(view), truth)

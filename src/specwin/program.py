@@ -161,19 +161,22 @@ class Program:
         return max((i.end_round for i in self.instructions), default=0)
 
 
-def validate(program: Program) -> list[str]:
+def validate(program: Program) -> list[ProgramError]:
     """Check program invariants and return a list of diagnostics.
 
-    An empty list means the program is valid.  Checks grid bounds,
-    spacetime exclusivity (no two instructions on the same patch in the
-    same round), and conditional reference validity.
+    An empty list means the program is valid.  Checks grid bounds
+    (SchemaError), spacetime exclusivity, i.e. no two instructions on the
+    same patch in the same round (OverlapError), and conditional reference
+    validity (ConditionalError).
     """
-    diags: list[str] = []
+    diags: list[ProgramError] = []
     rows, cols = program.grid
     for i, inst in enumerate(program.instructions):
         for r, c in inst.patches:
             if not (0 <= r < rows and 0 <= c < cols):
-                diags.append(f"instruction {i}: patch ({r},{c}) outside grid {program.grid}")
+                diags.append(
+                    SchemaError(f"instruction {i}: patch ({r},{c}) outside grid {program.grid}")
+                )
     # Spacetime exclusivity via per-patch interval sweep.
     by_patch: dict[PatchId, list[tuple[int, int, int]]] = {}
     for i, inst in enumerate(program.instructions):
@@ -184,33 +187,36 @@ def validate(program: Program) -> list[str]:
         for (s0, e0, i0), (s1, e1, i1) in zip(spans, spans[1:]):
             if s1 < e0:
                 diags.append(
-                    f"instructions {i0} and {i1} overlap on patch {p} at round {s1}"
+                    OverlapError(f"instructions {i0} and {i1} overlap on patch {p} at round {s1}")
                 )
     for i, inst in enumerate(program.instructions):
         if inst.conditional_on is None:
             continue
         j = inst.conditional_on
         if inst.kind is not InstructionKind.S_GATE:
-            diags.append(f"instruction {i}: conditional_on only allowed on SGate")
+            diags.append(
+                ConditionalError(f"instruction {i}: conditional_on only allowed on SGate")
+            )
             continue
         if not (0 <= j < len(program.instructions)):
-            diags.append(f"instruction {i}: conditional_on {j} out of range")
+            diags.append(ConditionalError(f"instruction {i}: conditional_on {j} out of range"))
             continue
         target = program.instructions[j]
         if not target.blocking:
-            diags.append(f"instruction {i}: conditional target {j} is not blocking")
+            diags.append(
+                ConditionalError(f"instruction {i}: conditional target {j} is not blocking")
+            )
         if target.start_round >= inst.start_round:
-            diags.append(f"instruction {i}: conditional target {j} does not precede it")
+            diags.append(
+                ConditionalError(f"instruction {i}: conditional target {j} does not precede it")
+            )
     return diags
 
 
 def _require_valid(program: Program) -> Program:
-    for diag in validate(program):
-        if "overlap" in diag:
-            raise OverlapError(diag)
-        if "conditional" in diag:
-            raise ConditionalError(diag)
-        raise SchemaError(diag)
+    diags = validate(program)
+    if diags:
+        raise diags[0]
     return program
 
 

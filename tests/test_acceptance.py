@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from specwin.decoding_graph import build_window_graph
-from specwin.matching import decode
+from specwin.matching import DEFAULT_CAP, Matching, _exact, _greedy, decode
 from specwin.pipeline import (
     LatencyModel,
     SimConfig,
@@ -404,9 +404,11 @@ def test_criterion_10_exact_matching_minimality():
         lit = syn.lit()
         if not 1 <= lit.size <= 8:
             continue
-        exact = decode(g, syn, "exact")
-        greedy = decode(g, syn, "greedy")
+        tables = g.match_tables(lit)
+        exact = Matching(*_exact(lit, *tables, DEFAULT_CAP))
+        greedy = Matching(*_greedy(lit, *tables))
         assert exact.weight == _oracle_weight(g, lit)
+        assert decode(g, syn) == Matching(sorted(exact.pairs), exact.weight)
         assert greedy.weight >= exact.weight
         assert _clears_syndrome(exact, lit)
         assert _clears_syndrome(greedy, lit)

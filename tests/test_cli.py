@@ -203,6 +203,10 @@ def test_eval_commands_reject_shots_below_one(argv, monkeypatch, capsys):
         ["recovery-eval", "--accuracy", "1.5"],
         ["predictor-eval", "--d", "5", "4"],
         ["predictor-eval", "--d", "5", "--p", "1.5"],
+        ["run", "--d", "3", "--latency", "linear:inf"],
+        ["run", "--d", "3", "--latency", "linear:nan"],
+        ["run", "--d", "3", "--latency", "fixed:inf"],
+        ["run", "--d", "3", "--latency", "fixed:2.7"],
     ],
 )
 def test_bad_input_fails_before_anything_runs(argv, monkeypatch, capsys):

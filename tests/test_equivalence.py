@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specwin.decoding_graph import AXES, Syndrome, build_window_graph
-from specwin.matching import ExactCapExceeded, crossing_site
+from specwin.matching import DEFAULT_CAP, ExactCapExceeded, crossing_site, decode
 from specwin.matching import _enumerate_cluster, _exact, _greedy, _greedy_candidates
 from specwin.predictor import MAX_COUNTER_SUM, BoundaryView, _two_step, boundary_view
 from test_golden import FACE_SETS
@@ -217,14 +217,14 @@ def test_two_step_matches_edge_list_reference(d, k, data):
 @given(window=lit_window())
 def test_greedy_matches_heap_reference(window):
     g, lit = window
-    assert _greedy(g, lit) == greedy_reference(g, lit)
+    assert _greedy(lit, *g.match_tables(lit)) == greedy_reference(g, lit)
 
 
 @settings(max_examples=120, deadline=None)
 @given(window=big_window)
 def test_pruned_greedy_matches_full_candidate_greedy(window):
     g, lit = window
-    assert _greedy(g, lit) == full_greedy_reference(g, lit)
+    assert _greedy(lit, *g.match_tables(lit)) == full_greedy_reference(g, lit)
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,9 +285,9 @@ def test_exact_matches_cluster_by_cluster_reference(window, cap):
         want = exact_reference(g, lit, cap)
     except ExactCapExceeded:
         with pytest.raises(ExactCapExceeded):
-            _exact(g, lit, cap)
+            _exact(lit, *g.match_tables(lit), cap)
         return
-    assert _exact(g, lit, cap) == want
+    assert _exact(lit, *g.match_tables(lit), cap) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,9 +300,25 @@ def test_exact_matches_reference_on_fallback_sized_windows(window):
         want = exact_reference(g, lit, 12)
     except ExactCapExceeded as exc:
         with pytest.raises(ExactCapExceeded, match=str(exc)):
-            _exact(g, lit, 12)
+            _exact(lit, *g.match_tables(lit), 12)
         return
-    assert _exact(g, lit, 12) == want
+    assert _exact(lit, *g.match_tables(lit), 12) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(window=st.one_of(lit_window(max_lit=30), big_window))
+def test_decode_is_capped_exact_else_greedy(window):
+    """One decode gives what a capped exact decode, and a greedy decode when
+    that raised, gave as two separate calls."""
+    g, lit = window
+    try:
+        pairs, weight = exact_reference(g, lit, DEFAULT_CAP)
+    except ExactCapExceeded:
+        pairs, weight = greedy_reference(g, lit)
+    bits = np.zeros(g.node_count, dtype=np.uint8)
+    bits[lit] = 1
+    m = decode(g, Syndrome(bits))
+    assert m.pairs == sorted(pairs) and m.weight == weight
 
 
 @pytest.mark.parametrize("k", range(len(FACE_SETS)))

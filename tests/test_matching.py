@@ -12,8 +12,9 @@ import itertools
 import numpy as np
 import pytest
 
-from specwin.decoding_graph import EAST, WEST, Syndrome, build_window_graph
-from specwin.matching import ExactCapExceeded, decode, extract_dependency_bits
+from specwin.decoding_graph import EAST, WEST, DecodingGraph, Syndrome, build_window_graph
+from specwin.matching import DEFAULT_CAP, ExactCapExceeded, Matching, _exact, _greedy
+from specwin.matching import decode, extract_dependency_bits
 
 
 # -- reference router: the canonical path of a matched pair, edge by edge --
@@ -122,11 +123,28 @@ def matching_flips(g, m):
     return sorted(acc)
 
 
+def exact(g, syn, cap=DEFAULT_CAP):
+    """The exact solver alone, on the graph's tables (may raise); pairs
+    sorted as decode sorts them."""
+    lit = syn.lit()
+    pairs, weight = _exact(lit, *g.match_tables(lit), cap)
+    return Matching(sorted(pairs), weight)
+
+
+def greedy(g, syn):
+    """The greedy solver alone, on the graph's tables; pairs sorted as
+    decode sorts them."""
+    lit = syn.lit()
+    pairs, weight = _greedy(lit, *g.match_tables(lit))
+    return Matching(sorted(pairs), weight)
+
+
+SOLVERS = {"exact": exact, "greedy": greedy}
+
+
 def test_empty_syndrome():
     g = build_window_graph(5, 5, [("temporal", "future")])
-    m = decode(g, syndrome_of(g, []), "exact")
-    assert m.pairs == [] and m.weight == 0
-    m = decode(g, syndrome_of(g, []), "greedy")
+    m = decode(g, syndrome_of(g, []))
     assert m.pairs == [] and m.weight == 0
 
 
@@ -134,8 +152,8 @@ def test_two_adjacent_defects():
     g = build_window_graph(5, 5, [])
     u = int(g.node_id(2, 1, 1))
     v = int(g.node_id(2, 2, 1))
-    for mode in ("exact", "greedy"):
-        m = decode(g, syndrome_of(g, [u, v]), mode)
+    syn = syndrome_of(g, [u, v])
+    for m in (decode(g, syn), exact(g, syn), greedy(g, syn)):
         assert m.weight == 1
         assert m.pairs == [(u, v)]
 
@@ -143,7 +161,7 @@ def test_two_adjacent_defects():
 def test_single_defect_goes_to_boundary():
     g = build_window_graph(5, 5, [])
     u = int(g.node_id(0, 0, 0))
-    m = decode(g, syndrome_of(g, [u]), "exact")
+    m = decode(g, syndrome_of(g, [u]))
     assert m.pairs == [(u, WEST)]
     assert m.weight == 1
 
@@ -159,13 +177,14 @@ def test_exact_matches_brute_force(seed):
         if not 1 <= lit.size <= 8:
             continue
         done += 1
-        m = decode(g, syn, "exact")
+        m = exact(g, syn)
         assert m.weight == brute_force_weight(g, lit)
-        mg = decode(g, syn, "greedy")
+        assert decode(g, syn) == m
+        mg = greedy(g, syn)
         assert mg.weight >= m.weight
 
 
-@pytest.mark.parametrize("mode", ["exact", "greedy"])
+@pytest.mark.parametrize("mode", list(SOLVERS))
 def test_corrections_clear_syndrome(mode):
     g = build_window_graph(5, 5, [("temporal", "past"), ("spatial", "east")])
     rng = np.random.default_rng(17)
@@ -173,7 +192,7 @@ def test_corrections_clear_syndrome(mode):
         _, syn = g.sample_errors(0.01, rng)
         if syn.lit().size > 8 and mode == "exact":
             continue
-        m = decode(g, syn, mode)
+        m = SOLVERS[mode](g, syn)
         residual = g.syndrome_from_edges(matching_flips(g, m))
         assert np.array_equal(residual.bits, syn.bits)
 
@@ -182,28 +201,63 @@ def test_decode_deterministic():
     g = build_window_graph(5, 5, [("temporal", "future")])
     rng = np.random.default_rng(23)
     _, syn = g.sample_errors(0.02, rng)
-    a = decode(g, syn, "exact")
-    b = decode(g, syn.copy(), "exact")
+    a = decode(g, syn)
+    b = decode(g, syn.copy())
     assert a.pairs == b.pairs and a.weight == b.weight
-    ga = decode(g, syn, "greedy")
-    gb = decode(g, syn.copy(), "greedy")
+    ga = greedy(g, syn)
+    gb = greedy(g, syn.copy())
     assert ga.pairs == gb.pairs
 
 
-def test_cap_exceeded():
+def cap_window():
+    """A d=9 window whose 14 defects form one cluster, over the cap."""
     g = build_window_graph(9, 9, [])
     nodes = [int(g.node_id(t, r, 2)) for t, r in itertools.product(range(2), range(7))]
+    return g, nodes
+
+
+def test_cap_exceeded():
+    g, nodes = cap_window()
     with pytest.raises(ExactCapExceeded):
-        decode(g, syndrome_of(g, nodes), "exact")
-    m = decode(g, syndrome_of(g, nodes), "greedy")
+        exact(g, syndrome_of(g, nodes))
+    m = greedy(g, syndrome_of(g, nodes))
     assert len(m.pairs) >= 7
+
+
+def test_decode_falls_back_inside_matching_on_one_table_pass(monkeypatch):
+    """Over the cap, decode returns greedy's matching; at the cap, exact's.
+    Either way it builds the tables once."""
+    g, nodes = cap_window()
+    tables = DecodingGraph.match_tables
+    calls = []
+
+    def counting(self, ids):
+        calls.append(len(ids))
+        return tables(self, ids)
+
+    monkeypatch.setattr(DecodingGraph, "match_tables", counting)
+    over = syndrome_of(g, nodes)
+    lit = over.lit()
+    with pytest.raises(ExactCapExceeded):
+        _exact(lit, *tables(g, lit), DEFAULT_CAP)
+    pairs, weight = _greedy(lit, *tables(g, lit))
+    m = decode(g, over)
+    assert calls == [len(nodes)]
+    assert m.pairs == sorted(pairs) and m.weight == weight
+
+    at_cap = syndrome_of(g, nodes[:DEFAULT_CAP])
+    lit = at_cap.lit()
+    pairs, weight = _exact(lit, *tables(g, lit), DEFAULT_CAP)
+    m = decode(g, at_cap)
+    assert calls == [len(nodes), DEFAULT_CAP]
+    assert m.pairs == sorted(pairs) and m.weight == weight
 
 
 def test_no_crossing_no_toggles():
     g = build_window_graph(5, 5, [("temporal", "future")])
     u = int(g.node_id(0, 1, 1))
     v = int(g.node_id(0, 2, 1))
-    m = decode(g, syndrome_of(g, [u, v]), "exact")
+    m = decode(g, syndrome_of(g, [u, v]))
     bits = extract_dependency_bits(m, g, g.planes[0])
     assert bits.sites == set()
 
@@ -213,7 +267,7 @@ def test_single_crossing_edge_toggle():
     plane = g.planes[0]
     u = int(g.node_id(4, 2, 1))
     v = int(g.node_id(5, 2, 1))
-    m = decode(g, syndrome_of(g, [u, v]), "exact")
+    m = decode(g, syndrome_of(g, [u, v]))
     assert m.weight == 1
     bits = extract_dependency_bits(m, g, plane)
     assert bits.sites == {u}
@@ -227,7 +281,7 @@ def test_weight2_crossing_chain_toggle():
     plane = g.planes[0]
     u = int(g.node_id(4, 2, 1))
     w = int(g.node_id(5, 2, 2))
-    m = decode(g, syndrome_of(g, [u, w]), "exact")
+    m = decode(g, syndrome_of(g, [u, w]))
     assert m.weight == 2
     bits = extract_dependency_bits(m, g, plane)
     assert bits.sites == {int(g.node_id(4, 2, 2))}
@@ -237,12 +291,12 @@ def test_boundary_path_crossing_spatial_plane():
     g = build_window_graph(5, 5, [("spatial", "east")])
     plane = g.planes[0]
     u = int(g.node_id(2, 1, 4))  # buffer-side defect nearer the east edge
-    m = decode(g, syndrome_of(g, [u]), "exact")
+    m = decode(g, syndrome_of(g, [u]))
     assert m.pairs == [(u, EAST)]
     bits = extract_dependency_bits(m, g, plane)
     assert bits.sites == set()
     v = int(g.node_id(2, 1, 2))  # commit-side defect; east is equally near
-    m = decode(g, syndrome_of(g, [v]), "exact")
+    m = decode(g, syndrome_of(g, [v]))
     site = int(g.node_id(2, 1, plane.node_layer))
     if m.pairs == [(v, EAST)]:
         assert extract_dependency_bits(m, g, plane).sites == {site}

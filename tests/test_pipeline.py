@@ -594,7 +594,7 @@ def _chain_toggles(g, plane, inner, outer):
     u, v = int(g.node_id(*inner)), int(g.node_id(*outer))
     bits = np.zeros(g.node_count, dtype=np.uint8)
     bits[[u, v]] = 1
-    m = decode(g, Syndrome(bits), mode="exact")
+    m = decode(g, Syndrome(bits))
     assert m.pairs == [(min(u, v), max(u, v))]
     return extract_dependency_bits(m, g, plane).sites
 

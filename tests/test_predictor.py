@@ -39,7 +39,7 @@ def syndrome_of(g, nodes):
 
 
 def truth_bits(g, syn):
-    return extract_dependency_bits(decode(g, syn, "exact"), g, g.planes[0])
+    return extract_dependency_bits(decode(g, syn), g, g.planes[0])
 
 
 def test_all_zero_view():
