@@ -126,7 +126,7 @@ def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
             raise ValueError(
                 f"--processors takes a number, 'auto' or 'unlimited', got {args.processors!r}"
             ) from None
-    cfg.validate()
+    cfg.validate(program.distance)
     return cfg
 
 

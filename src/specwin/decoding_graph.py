@@ -163,35 +163,16 @@ class DecodingGraph:
         )
 
     def _build_edges(self):
-        lo, hi = self.lo, self.hi
-        ts = np.arange(lo["t"], hi["t"])
-        rs = np.arange(lo["row"], hi["row"])
-        cs = np.arange(lo["col"], hi["col"])
-
-        def grid(tt, rr, cc):
-            t, r, c = np.meshgrid(tt, rr, cc, indexing="ij")
-            return self.node_id(t.ravel(), r.ravel(), c.ravel())
-
-        us, vs = [], []
-        # Spatial edges within each round.
-        u = grid(ts, rs, cs[:-1])
-        us.append(u)
-        vs.append(u + 1)
-        u = grid(ts, rs[:-1], cs)
-        us.append(u)
-        vs.append(u + self.extent["col"])
-        # Temporal edges between consecutive rounds.
-        u = grid(ts[:-1], rs, cs)
-        us.append(u)
-        vs.append(u + self.extent["row"] * self.extent["col"])
-        # Boundary edges on the two open column sides.
-        u = grid(ts, rs, [lo["col"]])
-        us.append(u)
-        vs.append(np.full(u.size, WEST))
-        u = grid(ts, rs, [hi["col"] - 1])
-        us.append(u)
-        vs.append(np.full(u.size, EAST))
-
+        ext = self.extent
+        ids = np.arange(self.node_count).reshape(ext["t"], ext["row"], ext["col"])
+        # Spatial edges within each round, temporal edges between consecutive
+        # rounds, then boundary edges on the two open column sides.
+        west = ids[:, :, 0].ravel()
+        east = ids[:, :, -1].ravel()
+        us = [ids[:, :, :-1].ravel(), ids[:, :-1, :].ravel(), ids[:-1].ravel(), west, east]
+        steps = (1, ext["col"], ext["row"] * ext["col"])
+        vs = [u + step for u, step in zip(us, steps)]
+        vs += [np.full(west.size, WEST), np.full(east.size, EAST)]
         self.edges_u = np.concatenate(us)
         self.edges_v = np.concatenate(vs)
         self.edge_count = self.edges_u.size
@@ -219,13 +200,10 @@ class DecodingGraph:
     def syndrome_from_edges(self, edge_ids) -> Syndrome:
         """Syndrome produced by flipping exactly the given edges."""
         edge_ids = np.asarray(edge_ids, dtype=np.intp)
-        counts = np.bincount(
-            self.edges_u[edge_ids], minlength=self.node_count
-        )
         v = self.edges_v[edge_ids]
-        v = v[v >= 0]
-        counts = counts + np.bincount(v, minlength=self.node_count)
-        return Syndrome((counts % 2).astype(np.uint8))
+        ends = np.concatenate([self.edges_u[edge_ids], v[v >= 0]])
+        counts = np.bincount(ends, minlength=self.node_count)
+        return Syndrome((counts & 1).astype(np.uint8))
 
     # -- distances (unit weights; the box is convex, so Manhattan is exact)
 

@@ -1,9 +1,11 @@
 """Reference inner decoder: minimum-weight matching on window graphs.
 
-``decode`` is the one entry point.  It reads the tables of one
-coordinate pass (pair distances, boundary distances, nearest
-boundaries), matches exactly, and runs greedy on the same tables when a
-defect cluster is too large to enumerate.  Both only try the pairs that
+``dependency_bits`` is what specwin calls: the bits a matching toggles on
+each boundary plane of a window.  ``decode`` is the whole-window matching
+that specifies it.  Both read the tables of one coordinate pass (pair
+distances, boundary distances, nearest boundaries) and share one solver,
+which matches exactly and runs greedy on the same tables when a defect
+cluster is too large to enumerate.  Both solvers only try the pairs that
 they could choose.
 
 Exact matching provably minimizes total weight.  Two defects are useful
@@ -15,12 +17,15 @@ any is solved, so a decode that falls back to greedy wastes no
 enumeration.  A one-member cluster goes to its nearest boundary; the
 rest are solved by enumeration over pairings with boundary options,
 trying useful partners only, memoized on an int bitmask of the cluster's
-remaining defects.
+remaining defects.  ``dependency_bits`` solves only the clusters with
+members on both sides of some plane, or with a boundary match that can
+cross one; no other cluster's pairs toggle a bit.
 
 Greedy matching repeatedly pairs the globally closest remaining defects.
 A defect still unmatched at its own boundary candidate takes it, so
 greedy sorts the boundary candidates plus only the pairs that come
-before both endpoints' boundary candidates.  Unit edge weights
+before both endpoints' boundary candidates.  Those pairs are useful, so
+greedy too matches each cluster on its own.  Unit edge weights
 throughout, so weight equals path length.  Both emit each pair lower id
 first (``lit`` is sorted), with the boundary (< 0) second.
 
@@ -32,10 +37,14 @@ node carrying the crossing edge's commit-side endpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .decoding_graph import (
+    AXES,
+    EAST,
     WEST,
     BoundaryPlane,
     DecodingGraph,
@@ -46,6 +55,7 @@ from .decoding_graph import (
 __all__ = [
     "Matching",
     "decode",
+    "dependency_bits",
     "extract_dependency_bits",
     "crossing_site",
 ]
@@ -68,19 +78,74 @@ class Matching:
 def decode(g: DecodingGraph, s: Syndrome) -> Matching:
     """Match all lit syndrome nodes, to each other or to the boundary.
 
-    The matching has minimum weight when every independent defect cluster
-    holds at most ``DEFAULT_CAP`` defects.  Otherwise it is greedy's, which
-    may exceed the minimum; both read the same tables.
+    This whole-window matching specifies ``dependency_bits``, which solves
+    only the clusters that can cross a plane.  The matching has minimum
+    weight when every independent defect cluster holds at most
+    ``DEFAULT_CAP`` defects.  Otherwise it is greedy's, which may exceed
+    the minimum; both read the same tables.
     """
     lit = s.lit()
     if lit.size == 0:
         return Matching([], 0)
-    tables = g.match_tables(lit)
-    try:
-        pairs, weight = _exact(lit, *tables, DEFAULT_CAP)
-    except ExactCapExceeded:
-        pairs, weight = _greedy(lit, *tables)
+    pairs, weight = _solve(lit, *g.match_tables(lit))
     return Matching(sorted(pairs), weight)
+
+
+def dependency_bits(g: DecodingGraph, s: Syndrome) -> list[DependencyBits]:
+    """The dependency bits ``decode(g, s)`` toggles, one entry per plane of
+    ``g.planes``.
+
+    Only the clusters that can toggle some plane are solved; the rest of
+    the matching crosses no plane.
+    """
+    lit = s.lit()
+    pairs = []
+    if lit.size and g.planes:
+        tables = g.match_tables(lit)
+        pairs, _ = _solve(lit, *tables, keep=partial(_can_toggle, g, lit, tables[2]))
+    return [_toggled(g, plane, pairs) for plane in g.planes]
+
+
+def _can_toggle(g: DecodingGraph, lit: np.ndarray, nearest: np.ndarray, labels, sizes):
+    """Bool mask over cluster labels: the clusters whose matching can toggle
+    a plane of ``g``.
+
+    A pair toggles a plane only if its endpoints lie on both sides of the
+    plane's cut, and a boundary match only on a col-axis plane, when its
+    column walk crosses the cut.  The west boundary lies below every col
+    cut and the east one above, so that walk crosses exactly when the node
+    lies on the other side of the cut from its nearest boundary.
+    """
+    coords = g.node_coords(lit)
+    east = nearest == EAST
+    kept = np.zeros(sizes.size, dtype=bool)
+    for plane in g.planes:
+        above = coords[AXES.index(plane.side.axis)] > plane.cut
+        up = np.bincount(labels, weights=above, minlength=sizes.size)
+        kept |= (up > 0) & (up < sizes)
+        if plane.side.axis == "col":
+            kept[labels[above != east]] = True
+    return kept
+
+
+def _solve(lit: np.ndarray, dist, bdist, nearest, keep=None):
+    """``decode``'s (pairs, weight) over the clusters that ``keep`` selects.
+
+    ``keep(labels, sizes)`` returns a bool mask over cluster labels; None
+    keeps every cluster.  Exact matching runs when no cluster, kept or not,
+    exceeds ``DEFAULT_CAP``, and greedy otherwise.  Neither lets one
+    cluster's pairs depend on another's: greedy's pair candidates are
+    useful pairs, and restricting it to the kept nodes (still sorted) keeps
+    its tie-break order.  The tables are ``match_tables(lit)``'s.
+    """
+    clusters = _useful_clusters(dist, bdist)
+    kept = None if keep is None else keep(clusters.labels, clusters.sizes)
+    if clusters.sizes.max() > DEFAULT_CAP:
+        if kept is not None:
+            sub = np.flatnonzero(kept[clusters.labels])
+            lit, dist, bdist, nearest = lit[sub], dist[np.ix_(sub, sub)], bdist[sub], nearest[sub]
+        return _greedy(lit, dist, bdist, nearest)
+    return _solve_clusters(lit, dist, bdist, nearest, clusters, kept)
 
 
 def _greedy(lit: np.ndarray, dist, bdist, nearest):
@@ -136,6 +201,36 @@ def _greedy_candidates(dist: np.ndarray, bdist: np.ndarray):
     )
 
 
+class _Clusters(NamedTuple):
+    """Useful-pair clusters of n defects.
+
+    Node i's useful partners, itself included, are
+    ``cols[starts[i]:starts[i + 1]]``.  ``labels[i]`` is the smallest
+    member of node i's cluster, and ``sizes[k]`` the size of the cluster
+    labelled k (0 if no cluster is).
+    """
+
+    cols: np.ndarray
+    starts: np.ndarray
+    labels: np.ndarray
+    sizes: np.ndarray
+
+
+def _useful_clusters(dist: np.ndarray, bdist: np.ndarray) -> _Clusters:
+    """Cluster the defects by useful pairs.
+
+    Pairing u with v can only beat boundary-matching both when their
+    separation is strictly smaller.  The diagonal is useful too, so every
+    node's partners form one nonempty run of the row-major flat indices.
+    """
+    n = bdist.size
+    flat = np.flatnonzero(dist < (bdist[:, None] + bdist[None, :]))
+    cols = flat % n
+    starts = np.searchsorted(flat, np.arange(0, n * n, n))
+    labels = _clusters(cols, starts)
+    return _Clusters(cols, starts, labels, np.bincount(labels))
+
+
 def _clusters(cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Each node's cluster label: the smallest node linked to it by a chain
     of useful pairs.  Node i's useful partners, itself included, are
@@ -156,42 +251,42 @@ def _clusters(cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 def _exact(lit: np.ndarray, dist, bdist, nearest, cap: int):
     """Cluster the defects, size every cluster against ``cap``, then solve
-    each cluster in order of its smallest member.  The tables are
-    ``match_tables(lit)``'s."""
-    # Pairing u with v can only beat boundary-matching both when their
-    # separation is strictly smaller; such pairs define the clusters.  The
-    # diagonal is useful too, so every node's partners form one nonempty
-    # run of the row-major flat indices.
-    n = lit.size
-    flat = np.flatnonzero(dist < (bdist[:, None] + bdist[None, :]))
-    cols = flat % n
-    starts = np.searchsorted(flat, np.arange(0, n * n, n))
-    labels = _clusters(cols, starts)
-    sizes = np.bincount(labels)
-    big = np.flatnonzero(sizes > cap)
+    each cluster.  The tables are ``match_tables(lit)``'s."""
+    clusters = _useful_clusters(dist, bdist)
+    big = np.flatnonzero(clusters.sizes > cap)
     if big.size:
         raise ExactCapExceeded(
-            f"cluster of {sizes[big[0]]} defects exceeds cap {cap}"
+            f"cluster of {clusters.sizes[big[0]]} defects exceeds cap {cap}"
         )
+    return _solve_clusters(lit, dist, bdist, nearest, clusters)
 
+
+def _solve_clusters(lit: np.ndarray, dist, bdist, nearest, clusters: _Clusters, kept=None):
+    """Minimum-weight (pairs, weight) of each cluster, or of each one that
+    the bool label mask ``kept`` selects, in order of smallest member.
+    Every cluster must be small enough to enumerate."""
     # Members grouped by cluster, clusters by smallest member, members
     # ascending.  ``local`` is each node's index within its cluster, and
     # ``adj`` its useful partners as a bitmask of those indices.
+    labels, sizes = clusters.labels, clusters.sizes
     order = np.argsort(labels, kind="stable")
-    counts = sizes[sizes > 0]
+    present = np.flatnonzero(sizes)
+    counts = sizes[present]
     ends = np.cumsum(counts)
+    firsts = ends - counts
     local = np.empty_like(order)
-    local[order] = np.arange(order.size) - np.repeat(ends - counts, counts)
-    adj = np.bitwise_or.reduceat(np.left_shift(1, local)[cols], starts).tolist()
+    local[order] = np.arange(order.size) - np.repeat(firsts, counts)
+    adj = np.bitwise_or.reduceat(np.left_shift(1, local)[clusters.cols], clusters.starts)
+    if kept is not None:
+        chosen = kept[present]
+        firsts, ends = firsts[chosen], ends[chosen]
 
     nodes, nearest = lit.tolist(), nearest.tolist()
-    drows, brow, order = dist.tolist(), bdist.tolist(), order.tolist()
+    brow, adj, order = bdist.tolist(), adj.tolist(), order.tolist()
     pairs = []
     weight = 0
-    lo = 0
-    for hi in ends.tolist():
+    for lo, hi in zip(firsts.tolist(), ends.tolist()):
         members = order[lo:hi]
-        lo = hi
         if len(members) == 1:
             u = members[0]
             pairs.append((nodes[u], nearest[u]))
@@ -199,7 +294,7 @@ def _exact(lit: np.ndarray, dist, bdist, nearest, cap: int):
             continue
         w, found = _enumerate_cluster(
             (1 << len(members)) - 1,
-            [[drows[i][j] for j in members] for i in members],
+            dist[np.ix_(members, members)].tolist(),
             [brow[i] for i in members],
             [adj[i] for i in members],
             {},
@@ -287,8 +382,13 @@ def extract_dependency_bits(
     m: Matching, g: DecodingGraph, plane: BoundaryPlane
 ) -> DependencyBits:
     """Dependency bits the matching toggles on one boundary plane."""
+    return _toggled(g, plane, m.pairs)
+
+
+def _toggled(g: DecodingGraph, plane: BoundaryPlane, pairs) -> DependencyBits:
+    """Dependency bits that the matched ``pairs`` toggle on ``plane``."""
     sites: set[int] = set()
-    for u, v in m.pairs:
+    for u, v in pairs:
         site = crossing_site(g, plane, u, v)
         if site is not None:
             sites ^= {site}

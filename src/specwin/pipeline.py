@@ -30,10 +30,13 @@ from typing import Any
 import numpy as np
 
 from .decoding_graph import Syndrome, build_window_graph
-from .matching import decode, extract_dependency_bits
+from .matching import dependency_bits
+# Not called here: specbench/tracing.py rebinds these names.
+from .matching import decode, extract_dependency_bits  # noqa: F401
 from .predictor import boundary_view, predict_3step
 from .program import Instruction, Program, ProgramError, validate
-from .windowing import STRATEGIES, Face, Side, WindowCell, aligned_phases, owns_face
+from .windowing import MAX_TASK_UNITS, STRATEGIES, Face, Side, WindowCell
+from .windowing import aligned_phases, owns_face
 
 __all__ = [
     "LatencyModel",
@@ -127,6 +130,8 @@ class LatencyModel:
 
     @classmethod
     def fixed(cls, rounds: int) -> "LatencyModel":
+        if not float(rounds).is_integer():
+            raise ValueError(f"fixed latency takes whole rounds, got {rounds!r}")
         return cls(kind="fixed", rounds=int(rounds))
 
     @classmethod
@@ -138,13 +143,23 @@ class LatencyModel:
         clean = {int(k): [int(v) for v in vals] for k, vals in buckets.items()}
         return cls(kind="empirical", buckets=clean)
 
-    def validate(self) -> None:
+    def validate(self, d: int | None = None) -> None:
+        """Raise ValueError unless the model can run; given the code
+        distance ``d``, also unless the largest task a cell can take lasts
+        a finite number of rounds."""
         if self.kind not in ("fixed", "linear", "empirical"):
             raise ValueError(f"unknown latency kind {self.kind!r}")
         if self.kind == "fixed" and self.rounds < 1:
             raise ValueError("fixed latency must be >= 1 round")
         if self.kind == "linear" and not (math.isfinite(self.rate) and self.rate > 0):
             raise ValueError("linear latency rate must be positive and finite")
+        if self.kind == "linear" and d is not None and not math.isfinite(
+            self.rate * MAX_TASK_UNITS * d
+        ):
+            raise ValueError(
+                f"linear latency rate {self.rate!r} overflows the largest task "
+                f"({MAX_TASK_UNITS} d^3 units) at d={d}"
+            )
         if self.kind == "empirical" and not self.buckets:
             raise ValueError("empirical latency needs at least one bucket")
 
@@ -207,7 +222,9 @@ class SimConfig:
     stall_blocking: bool = True
     noise_p: float = 1e-3
 
-    def validate(self) -> None:
+    def validate(self, d: int | None = None) -> None:
+        """Raise ValueError unless the config can run; ``d`` is the
+        program's code distance, which bounds the latency model."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.speculation not in SPECULATION_MODES:
@@ -222,7 +239,7 @@ class SimConfig:
             raise ValueError("seed must be >= 0")
         if not (0.0 <= self.noise_p < 1.0):
             raise ValueError("noise_p must be in [0, 1)")
-        self.latency.validate()
+        self.latency.validate(d)
 
 
 # -- results ----------------------------------------------------------------
@@ -925,9 +942,8 @@ class _Engine:
                 loc = self._project(f, src, cell, nid)
                 if loc is not None:
                     bits[g.node_id(*loc)] ^= 1
-        m = decode(g, Syndrome(bits))
-        for plane in g.planes:
-            cell.truth[plane.side] = extract_dependency_bits(m, g, plane)
+        for plane, truth in zip(g.planes, dependency_bits(g, Syndrome(bits))):
+            cell.truth[plane.side] = truth
 
     def _project(self, f: Face, src: _Cell, dst: _Cell, nid: int):
         """Map one source-plane toggle site into the sink's frame.
@@ -1021,7 +1037,7 @@ class _Engine:
 def simulate(program: Program, cfg: SimConfig | None = None) -> SimResult:
     """Simulate one program run and return its full trace."""
     cfg = cfg or SimConfig()
-    cfg.validate()
+    cfg.validate(program.distance)
     diags = validate(program)
     if diags:
         raise ProgramError("; ".join(map(str, diags)))

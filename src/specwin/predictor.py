@@ -34,7 +34,9 @@ import numpy as np
 
 from .decoding_graph import AXES, BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
 from .decoding_graph import build_window_graph, check_distance
-from .matching import crossing_site, decode, extract_dependency_bits
+from .matching import crossing_site, dependency_bits
+# Not called here: specbench/tracing.py rebinds these names.
+from .matching import decode, extract_dependency_bits  # noqa: F401
 
 __all__ = [
     "BoundaryView",
@@ -226,7 +228,7 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     """Score all predictors over sampled windows of one shape.
 
     Each shot samples a d-round commit with a future temporal buffer,
-    takes the crossing bits of ``matching.decode`` as truth, and classifies
+    takes ``matching.dependency_bits`` as truth, and classifies
     every predictor on the same syndrome.  Rates are the fraction of shots
     with at least one false positive (resp. negative).
     """
@@ -239,7 +241,7 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     fn_shots = {name: 0 for name in PREDICTORS}
     for _ in range(shots):
         _, syn = g.sample_errors(p, rng)
-        truth = extract_dependency_bits(decode(g, syn), g, plane)
+        (truth,) = dependency_bits(g, syn)
         view = boundary_view(g, plane, syn)
         for name, fn in PREDICTORS.items():
             cls = classify(fn(view), truth)

@@ -40,6 +40,7 @@ __all__ = [
     "Face",
     "WindowCell",
     "STRATEGIES",
+    "MAX_TASK_UNITS",
     "SOURCE_COLOR",
     "aligned_phases",
     "cell_color",
@@ -50,6 +51,12 @@ __all__ = [
 
 STRATEGIES = ("sliding", "parallel", "aligned")
 SOURCE_COLOR = 0
+
+# The largest task a cell can take, in d^3 units: a commit region of at most
+# d rounds plus one unit per face.  A cell has at most two temporal faces,
+# and at most two faces on each spatial side: a d-round cell overlaps at most
+# two of a neighbour's cells, since only a patch's last cell is shorter.
+MAX_TASK_UNITS = 1 + 2 + 4 * 2
 
 
 class Side(IntEnum):

@@ -207,6 +207,7 @@ def test_eval_commands_reject_shots_below_one(argv, monkeypatch, capsys):
         ["run", "--d", "3", "--latency", "linear:nan"],
         ["run", "--d", "3", "--latency", "fixed:inf"],
         ["run", "--d", "3", "--latency", "fixed:2.7"],
+        ["run", "--d", "3", "--latency", "linear:1e308"],
     ],
 )
 def test_bad_input_fails_before_anything_runs(argv, monkeypatch, capsys):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from specwin.decoding_graph import AXES, Syndrome, build_window_graph
 from specwin.matching import DEFAULT_CAP, ExactCapExceeded, crossing_site, decode
+from specwin.matching import dependency_bits, extract_dependency_bits
 from specwin.matching import _enumerate_cluster, _exact, _greedy, _greedy_candidates
 from specwin.predictor import MAX_COUNTER_SUM, BoundaryView, _two_step, boundary_view
 from test_golden import FACE_SETS
@@ -178,11 +179,13 @@ def lit_window(draw, ds=(3, 5, 7), k=None, max_lit=40):
 
 
 @st.composite
-def sampled_window(draw):
+def sampled_window(draw, k=None):
     """A window graph and the lit nodes of one sampled syndrome, up to about
     120 of them: the size of the windows that fall back to greedy."""
     d = draw(st.sampled_from((9, 13)))
-    g = graph(d, d, draw(st.integers(0, len(FACE_SETS) - 1)))
+    if k is None:
+        k = draw(st.integers(0, len(FACE_SETS) - 1))
+    g = graph(d, d, k)
     p = draw(st.sampled_from((2e-3, 5e-3, 1e-2)))
     _, syn = g.sample_errors(p, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     lit = syn.lit()
@@ -190,7 +193,11 @@ def sampled_window(draw):
     return g, lit
 
 
-big_window = st.one_of(lit_window(ds=(7, 9), max_lit=120), sampled_window())
+def big_windows(k=None):
+    return st.one_of(lit_window(ds=(7, 9), k=k, max_lit=120), sampled_window(k))
+
+
+big_window = big_windows()
 
 
 # -- tests ---------------------------------------------------------------------
@@ -319,6 +326,21 @@ def test_decode_is_capped_exact_else_greedy(window):
     bits[lit] = 1
     m = decode(g, Syndrome(bits))
     assert m.pairs == sorted(pairs) and m.weight == weight
+
+
+@pytest.mark.parametrize("k", range(len(FACE_SETS)))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dependency_bits_match_whole_window_decode(k, data):
+    """Solving only the clusters that can cross a plane toggles what the
+    whole-window decode toggles, on every plane: on windows that match
+    exactly and on windows big enough to fall back to greedy."""
+    g, lit = data.draw(st.one_of(lit_window(k=k), big_windows(k)))
+    bits = np.zeros(g.node_count, dtype=np.uint8)
+    bits[lit] = 1
+    s = Syndrome(bits)
+    m = decode(g, s)
+    assert dependency_bits(g, s) == [extract_dependency_bits(m, g, pl) for pl in g.planes]
 
 
 @pytest.mark.parametrize("k", range(len(FACE_SETS)))

@@ -14,7 +14,8 @@ import pytest
 
 from specwin.decoding_graph import EAST, WEST, DecodingGraph, Syndrome, build_window_graph
 from specwin.matching import DEFAULT_CAP, ExactCapExceeded, Matching, _exact, _greedy
-from specwin.matching import decode, extract_dependency_bits
+from specwin import matching
+from specwin.matching import decode, dependency_bits, extract_dependency_bits
 
 
 # -- reference router: the canonical path of a matched pair, edge by edge --
@@ -302,6 +303,48 @@ def test_boundary_path_crossing_spatial_plane():
         assert extract_dependency_bits(m, g, plane).sites == {site}
     else:
         assert extract_dependency_bits(m, g, plane).sites == set()
+
+
+def solved_pairs(monkeypatch, g, syn):
+    """``dependency_bits(g, syn)``, checked against the whole-window
+    decode, and the pairs it solved to get them."""
+    m = decode(g, syn)
+    want = [extract_dependency_bits(m, g, plane) for plane in g.planes]
+    seen = []
+    toggled = matching._toggled
+
+    def spy(g, plane, pairs):
+        seen.append(sorted(pairs))
+        return toggled(g, plane, pairs)
+
+    monkeypatch.setattr(matching, "_toggled", spy)
+    bits = dependency_bits(g, syn)
+    assert bits == want
+    assert len(seen) == len(g.planes) and all(pairs == seen[0] for pairs in seen)
+    return bits, seen[0]
+
+
+def test_dependency_bits_skip_a_cluster_on_one_side_of_a_temporal_cut(monkeypatch):
+    g = build_window_graph(7, 7, [("temporal", "future")])
+    # Five rounds apart, farther than both pairs' boundaries: two clusters.
+    inside = [int(g.node_id(1, 1, 1)), int(g.node_id(1, 2, 1))]
+    u, v = int(g.node_id(6, 2, 1)), int(g.node_id(7, 2, 1))
+    bits, pairs = solved_pairs(monkeypatch, g, syndrome_of(g, inside + [u, v]))
+    assert pairs == [(u, v)]
+    assert bits[0].sites == {u}
+
+
+def test_dependency_bits_keep_a_singleton_whose_boundary_lies_across_a_plane(monkeypatch):
+    g = build_window_graph(5, 5, [("spatial", "west"), ("spatial", "east")])
+    east = g.planes[1]
+    # Commit-side defect in the last commit column: the east boundary is
+    # nearer, and the walk to it crosses the east plane only.
+    u = int(g.node_id(2, 1, 2))
+    far = int(g.node_id(4, 3, -2))  # in the west buffer, nearer the west edge
+    bits, pairs = solved_pairs(monkeypatch, g, syndrome_of(g, [u, far]))
+    assert pairs == [(u, EAST)]
+    assert bits[1].sites == {int(g.node_id(2, 1, east.node_layer))}
+    assert bits[0].sites == set()
 
 
 def test_path_edges_produce_endpoint_syndrome():

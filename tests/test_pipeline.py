@@ -36,7 +36,7 @@ from specwin.program import (
     Program,
     builtin_program,
 )
-from specwin.windowing import STRATEGIES, Side
+from specwin.windowing import MAX_TASK_UNITS, STRATEGIES, Side
 
 
 def idle_program(d: int, rounds: int) -> Program:
@@ -119,6 +119,34 @@ def test_decode_latency_empirical():
         decode_latency(5.0, 5, model, rng)
     with pytest.raises(ValueError):
         decode_latency(2.0, 5, model, None)
+
+
+def test_fixed_latency_takes_whole_rounds():
+    assert LatencyModel.fixed(3.0).rounds == 3
+    for bad in (2.7, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            LatencyModel.fixed(bad)
+
+
+def test_linear_latency_rate_is_bounded_by_the_distance():
+    """A rate whose largest task overflows to infinite rounds at the
+    program's distance fails before the run, not inside ``decode_latency``."""
+    model = LatencyModel.linear(1e308)
+    model.validate()
+    with pytest.raises(ValueError, match="overflows"):
+        model.validate(3)
+    with pytest.raises(ValueError, match="overflows"):
+        simulate(idle_program(3, 6), SimConfig(latency=model))
+    LatencyModel.linear(1e300).validate(25)
+    assert decode_latency(MAX_TASK_UNITS, 25, LatencyModel.linear(1e300)) > 0
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_tasks_never_exceed_the_largest_task(strategy):
+    for name in BUILTIN_PROGRAMS:
+        eng = _Engine(builtin_program(name, 3), SimConfig(strategy=strategy))
+        eng.run()
+        assert max(cell.task_units(3) for cell in eng.cells) <= MAX_TASK_UNITS
 
 
 def test_config_validation():
