@@ -72,9 +72,6 @@ class Syndrome:
     def lit(self) -> np.ndarray:
         return np.flatnonzero(self.bits)
 
-    def copy(self) -> "Syndrome":
-        return Syndrome(self.bits.copy())
-
 
 @dataclass(frozen=True)
 class DependencyBits:
@@ -119,30 +116,16 @@ class DecodingGraph:
 
     # -- geometry ---------------------------------------------------------
 
-    def node_id(self, t, r, c):
-        """Flat node index from (round, row, col) coordinates: a Python int
-        for int coordinates, an array otherwise.
+    def node_id(self, t: int, r: int, c: int) -> int:
+        """Flat node index from (round, row, col) coordinates.
 
         Raises IndexError if any coordinate lies outside the box.
         """
         ext, lo = self.extent, self.lo
-        if type(t) is int and type(r) is int and type(c) is int:
-            nt, nr, nc = t - lo["t"], r - lo["row"], c - lo["col"]
-            if 0 <= nt < ext["t"] and 0 <= nr < ext["row"] and 0 <= nc < ext["col"]:
-                return (nt * ext["row"] + nr) * ext["col"] + nc
-            raise IndexError(f"coordinates ({t}, {r}, {c}) outside the window box")
-        nt = np.asarray(t) - lo["t"]
-        nr = np.asarray(r) - lo["row"]
-        nc = np.asarray(c) - lo["col"]
-        ids = (nt * ext["row"] + nr) * ext["col"] + nc
-        if isinstance(ids, np.ndarray):
-            inside = ((nt >= 0) & (nt < ext["t"]) & (nr >= 0) & (nr < ext["row"])
-                      & (nc >= 0) & (nc < ext["col"])).all()
-        else:
-            inside = 0 <= nt < ext["t"] and 0 <= nr < ext["row"] and 0 <= nc < ext["col"]
-        if not inside:
-            raise IndexError(f"coordinates ({t}, {r}, {c}) outside the window box")
-        return ids
+        nt, nr, nc = t - lo["t"], r - lo["row"], c - lo["col"]
+        if 0 <= nt < ext["t"] and 0 <= nr < ext["row"] and 0 <= nc < ext["col"]:
+            return (nt * ext["row"] + nr) * ext["col"] + nc
+        raise IndexError(f"coordinates ({t}, {r}, {c}) outside the window box")
 
     def node_coords(self, ids):
         """(round, row, col) of node ``ids``: Python ints for an int id,

@@ -64,7 +64,11 @@ DEFAULT_CAP = 12
 
 
 class ExactCapExceeded(ValueError):
-    """Raised when exact matching would enumerate too many defects."""
+    """Raised when exact matching would enumerate too many defects.
+
+    ``decode`` falls back to greedy instead, so no specwin path raises it;
+    ``specbench/tracing.py`` still catches it.
+    """
 
 
 @dataclass
@@ -247,18 +251,6 @@ def _clusters(cols: np.ndarray, starts: np.ndarray) -> np.ndarray:
         if np.array_equal(new, labels):
             return labels
         labels = new
-
-
-def _exact(lit: np.ndarray, dist, bdist, nearest, cap: int):
-    """Cluster the defects, size every cluster against ``cap``, then solve
-    each cluster.  The tables are ``match_tables(lit)``'s."""
-    clusters = _useful_clusters(dist, bdist)
-    big = np.flatnonzero(clusters.sizes > cap)
-    if big.size:
-        raise ExactCapExceeded(
-            f"cluster of {clusters.sizes[big[0]]} defects exceeds cap {cap}"
-        )
-    return _solve_clusters(lit, dist, bdist, nearest, clusters)
 
 
 def _solve_clusters(lit: np.ndarray, dist, bdist, nearest, clusters: _Clusters, kept=None):

@@ -140,8 +140,10 @@ class LatencyModel:
 
     @classmethod
     def empirical(cls, buckets: dict[int, list[int]]) -> "LatencyModel":
-        clean = {int(k): [int(v) for v in vals] for k, vals in buckets.items()}
-        return cls(kind="empirical", buckets=clean)
+        # Keys may be text, as in JSON; ``validate`` checks the rest.
+        if isinstance(buckets, dict):
+            buckets = {int(k): v for k, v in buckets.items()}
+        return cls(kind="empirical", buckets=buckets)
 
     def validate(self, d: int | None = None) -> None:
         """Raise ValueError unless the model can run; given the code
@@ -160,8 +162,21 @@ class LatencyModel:
                 f"linear latency rate {self.rate!r} overflows the largest task "
                 f"({MAX_TASK_UNITS} d^3 units) at d={d}"
             )
-        if self.kind == "empirical" and not self.buckets:
-            raise ValueError("empirical latency needs at least one bucket")
+        if self.kind == "empirical":
+            if not isinstance(self.buckets, dict) or not self.buckets:
+                raise ValueError("empirical latency needs an object of size: [rounds] buckets")
+            for k, b in self.buckets.items():
+                ok = isinstance(b, list) and b and all(map(_whole_rounds, b))
+                if not (ok and _whole_rounds(k)):
+                    raise ValueError(
+                        f"empirical latency bucket {k!r} needs a task size >= 1 and a "
+                        f"non-empty list of whole rounds >= 1, got {b!r}"
+                    )
+
+
+def _whole_rounds(v) -> bool:
+    """Whether ``v`` is a whole number >= 1; a bool is not."""
+    return (type(v) is int or (type(v) is float and v.is_integer())) and v >= 1
 
 
 def _parse_rounds(text: str, d: int) -> int:
@@ -184,8 +199,7 @@ def parse_latency(text: str, d: int) -> LatencyModel:
         return LatencyModel.linear(float(arg))
     if kind == "empirical":
         with open(arg) as fh:
-            raw = json.load(fh)
-        return LatencyModel.empirical({int(k): v for k, v in raw.items()})
+            return LatencyModel.empirical(json.load(fh))
     raise ValueError(f"unknown latency kind {kind!r}")
 
 
@@ -403,7 +417,7 @@ class _Cell(WindowCell):
 
     __slots__ = (
         "vgen", "gen_time", "spec_time", "verified_at", "running", "done",
-        "queued", "attempts", "first_start", "hooks", "graph", "synd", "pred", "truth",
+        "queued", "attempts", "first_start", "hooks", "graph", "truth",
     )
 
     def __init__(self, id: int, patch: tuple, index: int, t0: int, t1: int):
@@ -419,9 +433,7 @@ class _Cell(WindowCell):
         self.first_start: int | None = None
         self.hooks: list[_Release] = []
         self.graph = None
-        self.synd = None
         # One boundary plane per source side, shared by faces on that side.
-        self.pred: dict[Side, Any] = {}
         self.truth: dict[Side, Any] = {}
 
 
@@ -456,6 +468,7 @@ class _Engine:
         self.d = program.distance
         self.instructions = program.instructions
         self.spec_on = cfg.speculation != "off"
+        self.integrated = cfg.speculation == "integrated"
         self.phases = aligned_phases(program) if cfg.strategy == "aligned" else {}
 
         per_patch: dict[tuple, list[int]] = {}
@@ -682,9 +695,9 @@ class _Engine:
         cell = self.cells[cid]
         if cell.verified_at is not None:
             return
+        # Every mode publishes alike: the bits become consumable here and
+        # are judged when the cell verifies.
         cell.spec_time = self.clock
-        if self.cfg.speculation == "integrated":
-            self._integrated_predict(cell)
         # Retry the cells across the source faces; one waiting on another
         # source stays waiting.
         for nid in sorted([f.neighbor for f in cell.sources]):
@@ -707,7 +720,7 @@ class _Engine:
             src = self.cells[f.neighbor]
             if src.verified_at is not None:
                 consumed.append((f, src, "verified"))
-            elif self.spec_on and src.spec_time is not None:
+            elif src.spec_time is not None:
                 consumed.append((f, src, "spec"))
             else:
                 return
@@ -773,7 +786,13 @@ class _Engine:
             self.valid += task.end - task.start
             for rel in cell.hooks:
                 self._note_release(rel)
-            wrongs = self._judge_speculation(cell, task.consumed)
+            # Integrated mode decodes every cell: its consumers need its truth.
+            if self.integrated:
+                wrongs = self._by_decoding(cell, task.consumed)
+            elif cell.spec_time is not None:
+                wrongs = self._by_draw(cell)
+            else:
+                wrongs = []
             for f in wrongs:
                 self.wrong_faces.add((cell.id, f.neighbor))
                 self.mispredictions += 1
@@ -792,19 +811,9 @@ class _Engine:
             self._need_sweep = False
             self._sweep()
 
-    def _judge_speculation(self, cell: _Cell, consumed: tuple) -> list[Face]:
-        """Source faces whose speculated bits were wrong, given the verified
-        task's ``consumed`` inputs."""
-        if not self.spec_on:
-            return []
-        if self.cfg.speculation == "integrated":
-            self._integrated_truth(cell, consumed)
-            # A cell that verified before publishing predicted nothing.
-            if not cell.pred:
-                return []
-            return [f for f in cell.sources if self._plane_wrong(cell, f)]
-        if cell.spec_time is None:
-            return []
+    def _by_draw(self, cell: _Cell) -> list[Face]:
+        """Stochastic mode: the published cell's source faces whose
+        speculated bits a keyed draw marks wrong."""
         wrongs = []
         side, k = None, 0
         for f in cell.sources:
@@ -821,23 +830,6 @@ class _Engine:
             if u > thr:
                 wrongs.append(f)
         return wrongs
-
-    def _plane_wrong(self, cell: _Cell, f: Face) -> bool:
-        """Whether the predicted bits on source face ``f``'s plane differ
-        from the truth.
-
-        A face alone on its side is judged by the side's whole plane.  Faces
-        sharing a side share its plane, so each is judged only by the plane
-        sites in its neighbour's rounds.
-        """
-        pred, truth = cell.pred[f.side].sites, cell.truth[f.side].sites
-        if pred == truth:
-            return False
-        if sum(g.side is f.side for g in cell.sources) == 1:
-            return True
-        nbr = self.cells[f.neighbor]
-        lo, hi = nbr.t0 - cell.t0, nbr.t1 - cell.t0
-        return any(lo <= cell.graph.node_coords(site)[0] < hi for site in pred ^ truth)
 
     def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, int]]:
         """(source id, sink id) of the faces meeting ``cell``'s face ``f``
@@ -913,30 +905,17 @@ class _Engine:
 
     # -- integrated speculation ----------------------------------------------
 
-    def _graph(self, cell: _Cell):
-        if cell.graph is None:
-            # One buffer per side, however many faces lie on it.
-            sides = dict.fromkeys(f.side.pair for f in cell.sources)
-            cell.graph = build_window_graph(self.d, cell.rounds, list(sides))
-        return cell.graph
-
-    def _ensure_synd(self, cell: _Cell) -> None:
-        if cell.synd is None:
-            g = self._graph(cell)
-            _, synd = g.sample_errors(self.cfg.noise_p, self._rng(_WIN, *cell.patch, cell.index))
-            cell.synd = synd
-
-    def _integrated_predict(self, cell: _Cell) -> None:
-        self._ensure_synd(cell)
-        g = cell.graph
-        for plane in g.planes:
-            view = boundary_view(g, plane, cell.synd)
-            cell.pred[plane.side] = predict_3step(view).bits
-
-    def _integrated_truth(self, cell: _Cell, consumed: tuple) -> None:
-        self._ensure_synd(cell)
-        g = cell.graph
-        bits = np.array(cell.synd.bits, copy=True)
+    def _by_decoding(self, cell: _Cell, consumed: tuple) -> list[Face]:
+        """Integrated mode: store the cell's truth, the dependency bits of a
+        matching decode of its keyed syndrome with its ``consumed`` sources'
+        truth projected in; then judge its published prediction by it.  The
+        prediction reads only that syndrome, fixed before the cell generated,
+        so predicting now gives the bits it published."""
+        # One buffer per side, however many faces lie on it.
+        sides = dict.fromkeys(f.side.pair for f in cell.sources)
+        g = cell.graph = build_window_graph(self.d, cell.rounds, list(sides))
+        _, synd = g.sample_errors(self.cfg.noise_p, self._rng(_WIN, *cell.patch, cell.index))
+        bits = synd.bits.copy()
         for f, src, _ in consumed:
             for nid in src.truth[f.side.mirror].sites:
                 loc = self._project(f, src, cell, nid)
@@ -944,6 +923,30 @@ class _Engine:
                     bits[g.node_id(*loc)] ^= 1
         for plane, truth in zip(g.planes, dependency_bits(g, Syndrome(bits))):
             cell.truth[plane.side] = truth
+        if cell.spec_time is None:
+            return []
+        pred = {
+            plane.side: predict_3step(boundary_view(g, plane, synd)).bits.sites
+            for plane in g.planes
+        }
+        return [f for f in cell.sources if self._plane_wrong(cell, f, pred[f.side])]
+
+    def _plane_wrong(self, cell: _Cell, f: Face, pred: frozenset) -> bool:
+        """Whether the sites ``pred`` predicted on source face ``f``'s plane
+        differ from the truth.
+
+        A face alone on its side is judged by the side's whole plane.  Faces
+        sharing a side share its plane, so each is judged only by the plane
+        sites in its neighbour's rounds.
+        """
+        truth = cell.truth[f.side].sites
+        if pred == truth:
+            return False
+        if sum(g.side is f.side for g in cell.sources) == 1:
+            return True
+        nbr = self.cells[f.neighbor]
+        lo, hi = nbr.t0 - cell.t0, nbr.t1 - cell.t0
+        return any(lo <= cell.graph.node_coords(site)[0] < hi for site in pred ^ truth)
 
     def _project(self, f: Face, src: _Cell, dst: _Cell, nid: int):
         """Map one source-plane toggle site into the sink's frame.
@@ -956,7 +959,7 @@ class _Engine:
         layer.
         """
         t, r, c = src.graph.node_coords(nid)
-        box = self._graph(dst).commit_hi
+        box = dst.graph.commit_hi
         side = f.side
         if side.axis == "t":
             t = 0 if side.direction < 0 else box["t"] - 1

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 
 __all__ = [
     "PatchId",
@@ -74,6 +75,16 @@ MERGING_KINDS = frozenset(
 )
 
 
+def _whole(value, what: str) -> int:
+    """``value`` as an int; SchemaError unless it is a whole number (a bool
+    is not)."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise SchemaError(f"{what} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Instruction:
     """One timed operation on one or more patches.
@@ -96,10 +107,14 @@ class Instruction:
     conditional_on: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", InstructionKind(self.kind))
-        object.__setattr__(
-            self, "patches", tuple((int(r), int(c)) for r, c in self.patches)
-        )
+        fix = partial(object.__setattr__, self)
+        fix("kind", InstructionKind(self.kind))
+        fix("patches", tuple((_whole(r, "patch row"), _whole(c, "patch col"))
+                             for r, c in self.patches))
+        fix("start_round", _whole(self.start_round, "start_round"))
+        fix("duration", _whole(self.duration, "duration"))
+        if self.conditional_on is not None:
+            fix("conditional_on", _whole(self.conditional_on, "conditional_on"))
         if not self.patches:
             raise SchemaError("instruction requires at least one patch")
         if len(set(self.patches)) != len(self.patches):
@@ -141,12 +156,13 @@ class Program:
     name: str = "program"
 
     def __post_init__(self):
+        self.distance = _whole(self.distance, "distance")
         if self.distance < 3 or self.distance % 2 == 0:
             raise SchemaError(f"distance must be odd and >= 3, got {self.distance}")
         rows, cols = self.grid
+        self.grid = (_whole(rows, "grid rows"), _whole(cols, "grid cols"))
         if rows < 1 or cols < 1:
             raise SchemaError(f"grid must be at least 1x1, got {self.grid}")
-        self.grid = (int(rows), int(cols))
 
     @property
     def patches(self) -> list[PatchId]:
@@ -262,30 +278,27 @@ def parse_program(source: str | dict) -> Program:
     if data.get("format") != PROGRAM_FORMAT:
         raise SchemaError(f"unsupported format {data.get('format')!r}")
     try:
-        grid = (int(data["grid"]["rows"]), int(data["grid"]["cols"]))
+        grid = (data["grid"]["rows"], data["grid"]["cols"])
         raw_instructions = data["instructions"]
-        distance = int(data["distance"])
+        distance = data["distance"]
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"missing or malformed field: {exc}") from exc
+    if not isinstance(raw_instructions, list):
+        raise SchemaError(f"instructions must be a list, got {raw_instructions!r}")
     instructions = []
     for k, raw in enumerate(raw_instructions):
         try:
             instructions.append(
                 Instruction(
-                    kind=InstructionKind(raw["kind"]),
-                    patches=tuple((int(r), int(c)) for r, c in raw["patches"]),
-                    start_round=int(raw["start_round"]),
-                    duration=int(raw["duration"]),
-                    conditional_on=(
-                        int(raw["conditional_on"])
-                        if raw.get("conditional_on") is not None
-                        else None
-                    ),
+                    kind=raw["kind"],
+                    patches=raw["patches"],
+                    start_round=raw["start_round"],
+                    duration=raw["duration"],
+                    conditional_on=raw.get("conditional_on"),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            if isinstance(exc, ProgramError):
-                raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            # ProgramError is a ValueError: every failure names its instruction.
             raise SchemaError(f"instruction {k}: {exc}") from exc
     program = Program(
         distance=distance,
@@ -300,14 +313,13 @@ def parse_program(source: str | dict) -> Program:
 # Built-in programs
 
 
-def _repeated_t(d: int, count: int = 10, gap: int = 0) -> Program:
+def _repeated_t(d: int, count: int = 10) -> Program:
     """`count` T teleportations on one idling logical qubit.
 
     Each TTeleport (d rounds) is followed by an SGate conditioned on its
     outcome; the S fires with probability 1/2 at simulation time.  The
     nominal period is 2d rounds per T (a leading idle and the post-S slack
-    keep every teleportation ending on a window boundary); ``gap`` adds
-    idle rounds between iterations.
+    keep every teleportation ending on a window boundary).
     """
     patch = (0, 0)
     instructions: list[Instruction] = [
@@ -324,7 +336,7 @@ def _repeated_t(d: int, count: int = 10, gap: int = 0) -> Program:
                 InstructionKind.S_GATE, (patch,), t + d, 2, conditional_on=t_idx
             )
         )
-        t += 2 * d + gap
+        t += 2 * d
     return Program(d, (1, 1), instructions, name=f"repeated_t[{count}]")
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from specwin.decoding_graph import build_window_graph
-from specwin.matching import DEFAULT_CAP, Matching, _exact, _greedy, decode
+from specwin.matching import Matching, _greedy, decode
 from specwin.pipeline import (
     LatencyModel,
     SimConfig,
@@ -404,11 +404,10 @@ def test_criterion_10_exact_matching_minimality():
         lit = syn.lit()
         if not 1 <= lit.size <= 8:
             continue
-        tables = g.match_tables(lit)
-        exact = Matching(*_exact(lit, *tables, DEFAULT_CAP))
-        greedy = Matching(*_greedy(lit, *tables))
+        # At most 8 defects never exceed the cap, so decode matches exactly.
+        exact = decode(g, syn)
+        greedy = Matching(*_greedy(lit, *g.match_tables(lit)))
         assert exact.weight == _oracle_weight(g, lit)
-        assert decode(g, syn) == Matching(sorted(exact.pairs), exact.weight)
         assert greedy.weight >= exact.weight
         assert _clears_syndrome(exact, lit)
         assert _clears_syndrome(greedy, lit)

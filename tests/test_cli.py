@@ -195,6 +195,22 @@ def test_eval_commands_reject_shots_below_one(argv, monkeypatch, capsys):
     assert captured.err.startswith("error: ") and "shots" in captured.err
 
 
+def _program_json(**over) -> dict:
+    return {**serialize_program(builtin_program("repeated_t", 3, count=2)), **over}
+
+
+# Input files that the bad-input cases name as "@name".
+BAD_FILES = {
+    "fractional_distance.json": _program_json(distance=3.9),
+    "instructions_not_a_list.json": _program_json(instructions=5),
+    "bucket_not_a_list.json": {"1": 5},
+    "buckets_not_an_object.json": [1, 2],
+    "empty_bucket.json": {"1": []},
+    "rounds_below_one.json": {"1": [-3, 0]},
+    "size_below_one.json": {"0": [4]},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -208,11 +224,22 @@ def test_eval_commands_reject_shots_below_one(argv, monkeypatch, capsys):
         ["run", "--d", "3", "--latency", "fixed:inf"],
         ["run", "--d", "3", "--latency", "fixed:2.7"],
         ["run", "--d", "3", "--latency", "linear:1e308"],
+        ["run", "--program-file", "@fractional_distance.json"],
+        ["run", "--program-file", "@instructions_not_a_list.json"],
+        ["run", "--d", "3", "--latency", "empirical:@bucket_not_a_list.json"],
+        ["run", "--d", "3", "--latency", "empirical:@buckets_not_an_object.json"],
+        ["run", "--d", "3", "--latency", "empirical:@empty_bucket.json"],
+        ["run", "--d", "3", "--latency", "empirical:@rounds_below_one.json"],
+        ["run", "--d", "3", "--latency", "empirical:@size_below_one.json"],
     ],
 )
-def test_bad_input_fails_before_anything_runs(argv, monkeypatch, capsys):
+def test_bad_input_fails_before_anything_runs(argv, monkeypatch, capsys, tmp_path):
     def no_run(*args, **kwargs):
         raise AssertionError("ran before validating")
+
+    for name, content in BAD_FILES.items():
+        (tmp_path / name).write_text(json.dumps(content))
+    argv = [arg.replace("@", f"{tmp_path}/") for arg in argv]
 
     for name in ("simulate", "simulate_many", "processor_heuristic", "evaluate_predictors"):
         monkeypatch.setattr(cli, name, no_run)

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from specwin.decoding_graph import AXES, Syndrome, build_window_graph
 from specwin.matching import DEFAULT_CAP, ExactCapExceeded, crossing_site, decode
 from specwin.matching import dependency_bits, extract_dependency_bits
-from specwin.matching import _enumerate_cluster, _exact, _greedy, _greedy_candidates
+from specwin.matching import _enumerate_cluster, _greedy, _greedy_candidates
 from specwin.predictor import MAX_COUNTER_SUM, BoundaryView, _two_step, boundary_view
 from test_golden import FACE_SETS
 
@@ -282,36 +282,6 @@ def test_bitmask_enumeration_matches_frozenset_reference(costs):
     assert _enumerate_cluster((1 << n) - 1, dist, bdist, adj, {}) == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(window=lit_window(max_lit=30), cap=st.integers(1, 12))
-def test_exact_matches_cluster_by_cluster_reference(window, cap):
-    """Same clusters, same pairs and weight, and a raise exactly when some
-    cluster exceeds the cap."""
-    g, lit = window
-    try:
-        want = exact_reference(g, lit, cap)
-    except ExactCapExceeded:
-        with pytest.raises(ExactCapExceeded):
-            _exact(lit, *g.match_tables(lit), cap)
-        return
-    assert _exact(lit, *g.match_tables(lit), cap) == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(window=big_window)
-def test_exact_matches_reference_on_fallback_sized_windows(window):
-    """At the decoder's own cap, on windows as large as the ones that fall
-    back to greedy."""
-    g, lit = window
-    try:
-        want = exact_reference(g, lit, 12)
-    except ExactCapExceeded as exc:
-        with pytest.raises(ExactCapExceeded, match=str(exc)):
-            _exact(lit, *g.match_tables(lit), 12)
-        return
-    assert _exact(lit, *g.match_tables(lit), 12) == want
-
-
 @settings(max_examples=60, deadline=None)
 @given(window=st.one_of(lit_window(max_lit=30), big_window))
 def test_decode_is_capped_exact_else_greedy(window):
@@ -345,18 +315,17 @@ def test_dependency_bits_match_whole_window_decode(k, data):
 
 @pytest.mark.parametrize("k", range(len(FACE_SETS)))
 def test_node_id_int_path_matches_array_path(k):
-    """Over the box and one step past each face: int coordinates give the
-    array path's id as a Python int, and both paths raise outside."""
+    """Over the box and one step past each face: int coordinates give numpy's
+    row-major index of the box as a Python int, and raise outside."""
     g = graph(3, 2, k)
+    shape = [g.extent[a] for a in AXES]
     spans = [range(g.lo[a] - 1, g.hi[a] + 1) for a in AXES]
     for coords in itertools.product(*spans):
-        arrays = [np.array([x]) for x in coords]
         if all(g.lo[a] <= x < g.hi[a] for a, x in zip(AXES, coords)):
             got = g.node_id(*coords)
             assert type(got) is int
-            assert got == g.node_id(*arrays)[0]
+            assert got == np.ravel_multi_index([x - g.lo[a] for a, x in zip(AXES, coords)], shape)
+            assert g.node_coords(got) == coords
         else:
             with pytest.raises(IndexError):
                 g.node_id(*coords)
-            with pytest.raises(IndexError):
-                g.node_id(*arrays)

@@ -1,5 +1,6 @@
 """Module boundaries: no specwin module imports another one's private names
-or reaches into another object's private attributes or ``__dict__``."""
+or reaches into another object's private attributes or ``__dict__``, and
+every function, method and class specwin defines is used by specwin."""
 import ast
 from pathlib import Path
 
@@ -69,6 +70,78 @@ def test_detects_a_private_attribute(tmp_path):
         "mod.py:1 g._cache",
         "mod.py:2 g.axis._coord",
     ]
+
+
+# Names that specwin itself no longer uses but specbench/tracing.py still
+# names, each with what the tracer does with it.
+TRACED_ONLY = {
+    "ExactCapExceeded": "caught around decode, to time exact work thrown away",
+    "source_faces": "wrapped to count face scans",
+    "sink_faces": "wrapped to count face scans",
+    "incidence": "wrapped as the decoding_graph.incidence layer",
+}
+
+
+def unreferenced_definitions(paths) -> list[str]:
+    """Functions, methods and classes defined in ``paths`` whose name is
+    used nowhere in ``paths`` outside its own definition, as text.
+
+    A use is a name, an attribute, an imported name or a string constant
+    (``__all__`` lists names as strings).  Dunders are left out: Python
+    calls them itself.
+    """
+    defs, uses = [], []
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+    def visit(node, path, enclosing):
+        if isinstance(node, kinds):
+            defs.append((path, node))
+            enclosing = enclosing | {node}
+        if isinstance(node, ast.Name):
+            uses.append((node.id, enclosing))
+        elif isinstance(node, ast.Attribute):
+            uses.append((node.attr, enclosing))
+        elif isinstance(node, ast.alias):
+            uses.append((node.name, enclosing))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            uses.append((node.value, enclosing))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), path, frozenset())
+    found = []
+    for path, node in defs:
+        name = node.name
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        if not any(used == name and node not in where for used, where in uses):
+            found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_dead_definitions():
+    files = sorted(SRC.glob("*.py"))
+    dead = unreferenced_definitions(files)
+    assert sorted(hit.split()[-1] for hit in dead) == sorted(TRACED_ONLY)
+    tracer = (SRC.parents[1] / "specbench" / "tracing.py").read_text()
+    assert [name for name in TRACED_ONLY if name not in tracer] == []
+
+
+def test_detects_a_dead_definition(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        '__all__ = ["public"]\n'
+        "def public(): return _used()\n"
+        "def _used(): return 1\n"
+        "def _recursive(n): return _recursive(n - 1) if n else 0\n"
+        "class Box:\n"
+        "    def __len__(self): return 0\n"
+        "    def method(self): return self.method\n"
+        "    def called(self): return 2\n"
+        "Box().called()\n"
+    )
+    assert unreferenced_definitions([path]) == ["mod.py:4 _recursive", "mod.py:7 method"]
 
 
 def test_detects_a_foreign_dict(tmp_path):

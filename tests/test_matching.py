@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from specwin.decoding_graph import EAST, WEST, DecodingGraph, Syndrome, build_window_graph
-from specwin.matching import DEFAULT_CAP, ExactCapExceeded, Matching, _exact, _greedy
+from specwin.matching import DEFAULT_CAP, Matching, _greedy
 from specwin import matching
 from specwin.matching import decode, dependency_bits, extract_dependency_bits
 
@@ -124,14 +124,6 @@ def matching_flips(g, m):
     return sorted(acc)
 
 
-def exact(g, syn, cap=DEFAULT_CAP):
-    """The exact solver alone, on the graph's tables (may raise); pairs
-    sorted as decode sorts them."""
-    lit = syn.lit()
-    pairs, weight = _exact(lit, *g.match_tables(lit), cap)
-    return Matching(sorted(pairs), weight)
-
-
 def greedy(g, syn):
     """The greedy solver alone, on the graph's tables; pairs sorted as
     decode sorts them."""
@@ -140,7 +132,8 @@ def greedy(g, syn):
     return Matching(sorted(pairs), weight)
 
 
-SOLVERS = {"exact": exact, "greedy": greedy}
+# decode matches exactly while no defect cluster exceeds DEFAULT_CAP.
+SOLVERS = {"exact": decode, "greedy": greedy}
 
 
 def test_empty_syndrome():
@@ -154,7 +147,7 @@ def test_two_adjacent_defects():
     u = int(g.node_id(2, 1, 1))
     v = int(g.node_id(2, 2, 1))
     syn = syndrome_of(g, [u, v])
-    for m in (decode(g, syn), exact(g, syn), greedy(g, syn)):
+    for m in (decode(g, syn), greedy(g, syn)):
         assert m.weight == 1
         assert m.pairs == [(u, v)]
 
@@ -178,9 +171,8 @@ def test_exact_matches_brute_force(seed):
         if not 1 <= lit.size <= 8:
             continue
         done += 1
-        m = exact(g, syn)
+        m = decode(g, syn)
         assert m.weight == brute_force_weight(g, lit)
-        assert decode(g, syn) == m
         mg = greedy(g, syn)
         assert mg.weight >= m.weight
 
@@ -203,10 +195,10 @@ def test_decode_deterministic():
     rng = np.random.default_rng(23)
     _, syn = g.sample_errors(0.02, rng)
     a = decode(g, syn)
-    b = decode(g, syn.copy())
+    b = decode(g, Syndrome(syn.bits.copy()))
     assert a.pairs == b.pairs and a.weight == b.weight
     ga = greedy(g, syn)
-    gb = greedy(g, syn.copy())
+    gb = greedy(g, Syndrome(syn.bits.copy()))
     assert ga.pairs == gb.pairs
 
 
@@ -218,10 +210,14 @@ def cap_window():
 
 
 def test_cap_exceeded():
+    """The cap window's one cluster is over the cap, so decode matches it
+    greedily."""
     g, nodes = cap_window()
-    with pytest.raises(ExactCapExceeded):
-        exact(g, syndrome_of(g, nodes))
-    m = greedy(g, syndrome_of(g, nodes))
+    syn = syndrome_of(g, nodes)
+    dist, bdist, _ = g.match_tables(syn.lit())
+    assert matching._useful_clusters(dist, bdist).sizes.max() == len(nodes) > DEFAULT_CAP
+    m = decode(g, syn)
+    assert m == greedy(g, syn)
     assert len(m.pairs) >= 7
 
 
@@ -239,19 +235,15 @@ def test_decode_falls_back_inside_matching_on_one_table_pass(monkeypatch):
     monkeypatch.setattr(DecodingGraph, "match_tables", counting)
     over = syndrome_of(g, nodes)
     lit = over.lit()
-    with pytest.raises(ExactCapExceeded):
-        _exact(lit, *tables(g, lit), DEFAULT_CAP)
     pairs, weight = _greedy(lit, *tables(g, lit))
     m = decode(g, over)
     assert calls == [len(nodes)]
     assert m.pairs == sorted(pairs) and m.weight == weight
 
     at_cap = syndrome_of(g, nodes[:DEFAULT_CAP])
-    lit = at_cap.lit()
-    pairs, weight = _exact(lit, *tables(g, lit), DEFAULT_CAP)
     m = decode(g, at_cap)
     assert calls == [len(nodes), DEFAULT_CAP]
-    assert m.pairs == sorted(pairs) and m.weight == weight
+    assert m.weight == brute_force_weight(g, at_cap.lit())
 
 
 def test_no_crossing_no_toggles():

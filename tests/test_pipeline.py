@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specwin import pipeline
 from specwin.decoding_graph import Syndrome
 from specwin.matching import decode, extract_dependency_bits
 from specwin.pipeline import (
@@ -29,6 +30,7 @@ from specwin.pipeline import (
     simulate_many,
     _Engine,
 )
+from specwin.predictor import predict_3step
 from specwin.program import (
     BUILTIN_PROGRAMS,
     Instruction,
@@ -507,23 +509,31 @@ def test_timeline_valid_across_programs(strategy):
 # -- integrated speculation ---------------------------------------------------
 
 
-def test_integrated_noiseless_matches_perfect_stochastic():
-    prog = builtin_program("zigzag_chain", 3, count=12)
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", BUILTIN_PROGRAMS)
+def test_integrated_noiseless_matches_perfect_stochastic(name, strategy):
+    """Without noise every prediction equals the truth, so integrated mode
+    runs as stochastic mode does at perfect accuracy."""
+    prog = builtin_program(name, 5)
+    latency = LatencyModel.fixed(10)
     integ = simulate(
         prog,
-        SimConfig(speculation="integrated", noise_p=0.0, latency=LatencyModel.fixed(6)),
+        SimConfig(strategy=strategy, speculation="integrated", noise_p=0.0, latency=latency),
     )
     perfect = simulate(
         prog,
         SimConfig(
+            strategy=strategy,
             speculation="stochastic",
             accuracy=1.0,
             accuracy_adjacent=1.0,
-            latency=LatencyModel.fixed(6),
+            latency=latency,
         ),
     )
-    assert integ.mispredictions == 0
-    assert integ.wasted_compute == 0
+    assert integ.mispredictions == perfect.mispredictions == 0
+    assert integ.wasted_compute == perfect.wasted_compute == 0
+    assert integ.runtime_rounds == perfect.runtime_rounds
+    assert integ.reactions == perfect.reactions
     assert integ.timeline == perfect.timeline
     assert [r.verified_round for r in integ.cell_log] == [
         r.verified_round for r in perfect.cell_log
@@ -600,7 +610,8 @@ def _two_buffer_source():
             Instruction(InstructionKind.MERGE_ZZ, [(0, 0), (1, 0)], 2, 11),
         ],
     )
-    engine = _Engine(prog, SimConfig(stall_blocking=False))
+    # Integrated mode builds every cell's window graph when it verifies.
+    engine = _Engine(prog, SimConfig(stall_blocking=False, speculation="integrated", noise_p=0.0))
     engine.run()
     src = engine.cells[0]
     assert (src.patch, src.t0) == ((0, 0), 0)
@@ -608,7 +619,6 @@ def _two_buffer_source():
     dst = engine.cells[src.sources[1].neighbor]
     assert (dst.patch, dst.t0, dst.t1) == ((1, 0), 1, 4)
     back = next(g for g in dst.sinks if g.neighbor == src.id)
-    engine._graph(src)
     return engine, src, dst, back
 
 
@@ -735,14 +745,14 @@ def test_faces_on_one_side_are_judged_independently():
             seed=seed,
         )
         engine = _Engine(prog, cfg)
-        judge = engine._judge_speculation
+        judge = engine._by_draw
         judged = {}
 
-        def record(cell, consumed):
-            judged[cell.id] = judge(cell, consumed)
+        def record(cell):
+            judged[cell.id] = judge(cell)
             return judged[cell.id]
 
-        engine._judge_speculation = record
+        engine._by_draw = record
         engine.run()
         for cell in engine.cells:
             faces = west_sources(cell)
@@ -753,7 +763,7 @@ def test_faces_on_one_side_are_judged_independently():
     assert split > 0
 
 
-def test_faces_on_one_side_are_judged_by_their_neighbours_rounds():
+def test_faces_on_one_side_are_judged_by_their_neighbours_rounds(monkeypatch):
     """Integrated mode: a face sharing its side's plane is wrong only if a
     plane site where prediction and truth differ lies in its neighbour's
     rounds, so a difference confined to one neighbour's rounds never marks
@@ -777,20 +787,27 @@ def test_faces_on_one_side_are_judged_by_their_neighbours_rounds():
             noise_p=0.05,
         )
         engine = _Engine(prog, cfg)
-        judge = engine._judge_speculation
-        judged = {}
+        judge = engine._by_decoding
+        judged, predicted = {}, {}
 
         def record(cell, consumed):
             judged[cell.id] = judge(cell, consumed)
             return judged[cell.id]
 
-        engine._judge_speculation = record
+        def predict(view):
+            # Keyed by graph: each verified cell builds its own.
+            prediction = predict_3step(view)
+            predicted[view.g, view.plane.side] = prediction.bits.sites
+            return prediction
+
+        engine._by_decoding = record
+        monkeypatch.setattr(pipeline, "predict_3step", predict)
         engine.run()
         for cell in engine.cells:
             faces = west_sources(cell)
-            if len(faces) != 2 or not cell.pred:
+            if len(faces) != 2 or cell.spec_time is None:
                 continue
-            pred = cell.pred[Side.WEST].sites
+            pred = predicted[cell.graph, Side.WEST]
             truth = cell.truth[Side.WEST].sites
             rounds = [cell.t0 + cell.graph.node_coords(site)[0] for site in pred ^ truth]
             hit = []

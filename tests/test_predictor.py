@@ -137,7 +137,7 @@ def test_deterministic_and_view_unmutated():
     rng = np.random.default_rng(3)
     _, syn = g.sample_errors(0.02, rng)
     v1 = boundary_view(g, g.planes[0], syn)
-    v2 = boundary_view(g, g.planes[0], syn.copy())
+    v2 = boundary_view(g, g.planes[0], Syndrome(syn.bits.copy()))
     bits_before = set(v1.bits)
     for fn in PREDICTORS.values():
         p1, p2 = fn(v1), fn(v2)

@@ -113,6 +113,64 @@ def test_bad_json_text():
         parse_program("{not json")
 
 
+def _set(data: dict, path: tuple, value) -> dict:
+    """``data`` with the field at ``path`` (keys and list indices) set."""
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("distance",), 3.9),
+        (("distance",), True),
+        (("distance",), "5"),
+        (("grid", "rows"), 1.7),
+        (("grid", "cols"), True),
+        (("instructions", 0, "patches", 0, 1), 0.9),
+        (("instructions", 1, "start_round"), 0.5),
+        (("instructions", 1, "duration"), 3.2),
+        (("instructions", 2, "conditional_on"), 1.5),
+        (("instructions", 2, "conditional_on"), False),
+    ],
+)
+def test_rejects_non_whole_numbers(path, value):
+    data = _set(serialize_program(simple_program()), path, value)
+    with pytest.raises(SchemaError, match="whole number"):
+        parse_program(data)
+
+
+def test_accepts_whole_floats():
+    data = serialize_program(simple_program())
+    data["distance"] = 5.0
+    data["instructions"][1]["duration"] = 5.0
+    back = parse_program(data)
+    assert back.distance == 5 and type(back.distance) is int
+    assert back.instructions == simple_program().instructions
+
+
+@pytest.mark.parametrize("instructions", [5, "Idle", {"kind": "Idle"}, None])
+def test_rejects_instructions_that_are_not_a_list(instructions):
+    data = serialize_program(simple_program())
+    data["instructions"] = instructions
+    with pytest.raises(SchemaError, match="instructions must be a list"):
+        parse_program(data)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [5, [1, 2], {"kind": "Idle", "patches": [[0]], "start_round": 0, "duration": 1}],
+)
+def test_rejects_malformed_instruction(raw):
+    data = serialize_program(simple_program())
+    data["instructions"].append(raw)
+    with pytest.raises(SchemaError, match="instruction 3:"):
+        parse_program(data)
+
+
 def test_unknown_format():
     data = serialize_program(simple_program())
     data["format"] = 99
@@ -146,9 +204,6 @@ def test_repeated_t_period():
     prog = builtin_program("repeated_t", 5, count=3)
     starts = [i.start_round for i in prog.instructions if i.blocking]
     assert starts == [5, 15, 25]
-    prog = builtin_program("repeated_t", 5, count=3, gap=4)
-    starts = [i.start_round for i in prog.instructions if i.blocking]
-    assert starts == [5, 19, 33]
 
 
 def test_msd_15to1_shape():
