@@ -13,6 +13,9 @@ Each buffered face carries a BoundaryPlane: the interface where matched
 error chains crossing between commit and buffer register dependency-bit
 toggles.  Virtual boundary nodes sit past the first and last columns of
 the full box (the two open sides of the patch).
+
+Node coordinates and box corners are both (round, row, col) tuples, so a
+side's ``axis`` (T, ROW or COL) indexes either.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .windowing import Side
+from .windowing import COL, Side
 
 __all__ = [
     "DecodingGraph",
@@ -30,8 +33,6 @@ __all__ = [
     "build_window_graph",
     "check_distance",
 ]
-
-AXES = ("t", "row", "col")
 
 # Virtual boundary node ids.
 WEST = -1
@@ -93,19 +94,21 @@ class DecodingGraph:
         if len(set(self.sides)) < len(self.sides):
             raise ValueError(f"duplicate buffer face in {list(buffer_spec)!r}")
 
-        # The commit box spans [0, commit_hi[axis]) on each axis.
-        self.commit_hi = {"t": commit_rounds, "row": d - 1, "col": (d + 1) // 2}
-        lo = dict.fromkeys(AXES, 0)
-        hi = dict(self.commit_hi)
-        depth = {**self.commit_hi, "t": d}
+        # Boxes are (round, row, col) tuples, indexed by a side's axis like a
+        # node's coordinates.  The commit box spans [0, commit_hi[a]) on each
+        # axis a, the full box [lo[a], hi[a]); a buffer is d rounds deep or
+        # a whole patch wide.
+        self.commit_hi = (commit_rounds, d - 1, (d + 1) // 2)
+        depth = (d, *self.commit_hi[1:])
+        lo, hi = [0, 0, 0], list(self.commit_hi)
         for side in self.sides:
             if side.direction > 0:
                 hi[side.axis] += depth[side.axis]
             else:
                 lo[side.axis] -= depth[side.axis]
-        self.lo, self.hi = lo, hi
-        self.extent = {a: hi[a] - lo[a] for a in AXES}
-        self.node_count = self.extent["t"] * self.extent["row"] * self.extent["col"]
+        self.lo, self.hi = tuple(lo), tuple(hi)
+        self.extent = et, er, ec = tuple(h - l for l, h in zip(lo, hi))
+        self.node_count = et * er * ec
 
         self._build_edges()
         self.planes = [
@@ -121,48 +124,38 @@ class DecodingGraph:
 
         Raises IndexError if any coordinate lies outside the box.
         """
-        ext, lo = self.extent, self.lo
-        nt, nr, nc = t - lo["t"], r - lo["row"], c - lo["col"]
-        if 0 <= nt < ext["t"] and 0 <= nr < ext["row"] and 0 <= nc < ext["col"]:
-            return (nt * ext["row"] + nr) * ext["col"] + nc
+        (lt, lr, lc), (et, er, ec) = self.lo, self.extent
+        nt, nr, nc = t - lt, r - lr, c - lc
+        if 0 <= nt < et and 0 <= nr < er and 0 <= nc < ec:
+            return (nt * er + nr) * ec + nc
         raise IndexError(f"coordinates ({t}, {r}, {c}) outside the window box")
 
     def node_coords(self, ids):
         """(round, row, col) of node ``ids``: Python ints for an int id,
         arrays otherwise."""
+        (lt, lr, lc), (_, er, ec) = self.lo, self.extent
         if isinstance(ids, int):
-            rest, nc = divmod(ids, self.extent["col"])
-            nt, nr = divmod(rest, self.extent["row"])
-            return nt + self.lo["t"], nr + self.lo["row"], nc + self.lo["col"]
+            rest, nc = divmod(ids, ec)
+            nt, nr = divmod(rest, er)
+            return nt + lt, nr + lr, nc + lc
         ids = np.asarray(ids)
-        nc = ids % self.extent["col"]
-        rest = ids // self.extent["col"]
-        nr = rest % self.extent["row"]
-        nt = rest // self.extent["row"]
-        return (
-            nt + self.lo["t"],
-            nr + self.lo["row"],
-            nc + self.lo["col"],
-        )
+        rest = ids // ec
+        return rest // er + lt, rest % er + lr, ids % ec + lc
 
     def _build_edges(self):
-        ext = self.extent
-        ids = np.arange(self.node_count).reshape(ext["t"], ext["row"], ext["col"])
+        _, er, ec = self.extent
+        ids = np.arange(self.node_count).reshape(self.extent)
         # Spatial edges within each round, temporal edges between consecutive
         # rounds, then boundary edges on the two open column sides.
         west = ids[:, :, 0].ravel()
         east = ids[:, :, -1].ravel()
         us = [ids[:, :, :-1].ravel(), ids[:, :-1, :].ravel(), ids[:-1].ravel(), west, east]
-        steps = (1, ext["col"], ext["row"] * ext["col"])
+        steps = (1, ec, er * ec)
         vs = [u + step for u, step in zip(us, steps)]
         vs += [np.full(west.size, WEST), np.full(east.size, EAST)]
         self.edges_u = np.concatenate(us)
         self.edges_v = np.concatenate(vs)
         self.edge_count = self.edges_u.size
-
-    def axis_coord(self, ids, axis):
-        """Coordinate of nodes ``ids`` along ``axis`` ("t", "row" or "col")."""
-        return self.node_coords(ids)[AXES.index(axis)]
 
     # -- sampling ---------------------------------------------------------
 
@@ -203,8 +196,8 @@ class DecodingGraph:
         dist = np.abs(np.subtract.outer(t, t))
         dist += np.abs(np.subtract.outer(r, r))
         dist += np.abs(np.subtract.outer(c, c))
-        west = c - self.lo["col"] + 1
-        east = self.hi["col"] - c
+        west = c - self.lo[COL] + 1
+        east = self.hi[COL] - c
         return dist, np.minimum(west, east), np.where(west <= east, WEST, EAST)
 
     # -- adjacency helpers --------------------------------------------------

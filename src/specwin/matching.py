@@ -43,7 +43,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .decoding_graph import (
-    AXES,
     EAST,
     WEST,
     BoundaryPlane,
@@ -51,6 +50,7 @@ from .decoding_graph import (
     DependencyBits,
     Syndrome,
 )
+from .windowing import COL, ROW, T
 
 __all__ = [
     "Matching",
@@ -124,10 +124,10 @@ def _can_toggle(g: DecodingGraph, lit: np.ndarray, nearest: np.ndarray, labels, 
     east = nearest == EAST
     kept = np.zeros(sizes.size, dtype=bool)
     for plane in g.planes:
-        above = coords[AXES.index(plane.side.axis)] > plane.cut
+        above = coords[plane.side.axis] > plane.cut
         up = np.bincount(labels, weights=above, minlength=sizes.size)
         kept |= (up > 0) & (up < sizes)
-        if plane.side.axis == "col":
+        if plane.side.axis == COL:
             kept[labels[above != east]] = True
     return kept
 
@@ -347,10 +347,10 @@ def crossing_site(g, plane: BoundaryPlane, u: int, v: int):
     endpoint's site.
     """
     if v < 0:
-        if plane.side.axis != "col":
+        if plane.side.axis != COL:
             return None
         t, r, c = g.node_coords(u)
-        lo, hi = (g.lo["col"] - 1, c) if v == WEST else (c, g.hi["col"])
+        lo, hi = (g.lo[COL] - 1, c) if v == WEST else (c, g.hi[COL])
         if lo <= plane.cut < hi:
             return g.node_id(t, r, plane.node_layer)
         return None
@@ -358,10 +358,10 @@ def crossing_site(g, plane: BoundaryPlane, u: int, v: int):
     ta, ra, ca = g.node_coords(a)
     tb, rb, cb = g.node_coords(b)
     axis = plane.side.axis
-    if axis == "t":
+    if axis == T:
         if ta <= plane.cut < tb:
             return g.node_id(plane.node_layer, rb, cb)
-    elif axis == "row":
+    elif axis == ROW:
         if min(ra, rb) <= plane.cut < max(ra, rb):
             return g.node_id(ta, plane.node_layer, ca)
     else:

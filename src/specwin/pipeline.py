@@ -35,7 +35,7 @@ from .matching import dependency_bits
 from .matching import decode, extract_dependency_bits  # noqa: F401
 from .predictor import boundary_view, predict_3step
 from .program import Instruction, Program, ProgramError, validate
-from .windowing import MAX_TASK_UNITS, STRATEGIES, Face, Side, WindowCell
+from .windowing import MAX_TASK_UNITS, STRATEGIES, T, Face, Side, WindowCell
 from .windowing import aligned_phases, owns_face
 
 __all__ = [
@@ -247,10 +247,13 @@ class SimConfig:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")
-        if self.processors is not None and self.processors < 1:
-            raise ValueError("processors must be None or >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        # ``type(x) is int`` turns away bools and floats: the keyed draws
+        # would truncate a float seed without a word.
+        p = self.processors
+        if p is not None and (type(p) is not int or p < 1):
+            raise ValueError(f"processors must be None or a whole number >= 1, got {p!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"seed must be a whole number >= 0, got {self.seed!r}")
         if not (0.0 <= self.noise_p < 1.0):
             raise ValueError("noise_p must be in [0, 1)")
         self.latency.validate(d)
@@ -451,13 +454,11 @@ class _Release:
 
 
 class _PatchState:
-    __slots__ = ("order", "next_i", "prev_gi", "birth", "death", "cells")
+    __slots__ = ("order", "next_i", "death", "cells")
 
     def __init__(self, order: list[int]):
         self.order = order
         self.next_i = 0
-        self.prev_gi: int | None = None
-        self.birth: int | None = None
         self.death: int | None = None
         self.cells: list[_Cell] = []
 
@@ -552,7 +553,7 @@ class _Engine:
     def _ensure_upto(self, patch: tuple, upto: int) -> None:
         ps = self.pstate[patch]
         while True:
-            end = ps.cells[-1].t1 if ps.cells else ps.birth
+            end = ps.cells[-1].t1
             if end >= upto or (ps.death is not None and end >= ps.death):
                 break
             t1 = end + self.d
@@ -612,12 +613,12 @@ class _Engine:
             qs = self.pstate[q]
             if qs.next_i >= len(qs.order) or qs.order[qs.next_i] != gi:
                 return False
-            if qs.prev_gi is None:
+            if qs.next_i == 0:
                 cands.append(ins.start_round)
             else:
-                prev = self.instructions[qs.prev_gi]
-                gap = ins.start_round - prev.end_round
-                cands.append(self.exec_end[qs.prev_gi] + gap)
+                prev_gi = qs.order[qs.next_i - 1]
+                gap = ins.start_round - self.instructions[prev_gi].end_round
+                cands.append(self.exec_end[prev_gi] + gap)
         if (
             self.cfg.stall_blocking
             and ins.conditional_on is not None
@@ -642,10 +643,10 @@ class _Engine:
         )
         for q in ins.patches:
             qs = self.pstate[q]
-            if qs.birth is None:
-                qs.birth = start
-            qs.prev_gi = gi
             qs.next_i += 1
+            if not qs.cells:
+                # The patch's first instruction: its tiling starts here.
+                self._new_cell(q, start, start + self.d)
             self._ensure_upto(q, end)
             if qs.next_i >= len(qs.order):
                 qs.death = end
@@ -946,9 +947,10 @@ class _Engine:
             return True
         nbr = self.cells[f.neighbor]
         lo, hi = nbr.t0 - cell.t0, nbr.t1 - cell.t0
-        return any(lo <= cell.graph.node_coords(site)[0] < hi for site in pred ^ truth)
+        return any(lo <= cell.graph.node_coords(site)[T] < hi for site in pred ^ truth)
 
-    def _project(self, f: Face, src: _Cell, dst: _Cell, nid: int):
+    @staticmethod
+    def _project(f: Face, src: _Cell, dst: _Cell, nid: int):
         """Map one source-plane toggle site into the sink's frame.
 
         ``f`` is the sink's face.  A site is kept only if its coordinates
@@ -958,24 +960,17 @@ class _Engine:
         chains are not this sink's.  The site lands on the sink's face
         layer.
         """
-        t, r, c = src.graph.node_coords(nid)
+        site = list(src.graph.node_coords(nid))
         box = dst.graph.commit_hi
         side = f.side
-        if side.axis == "t":
-            t = 0 if side.direction < 0 else box["t"] - 1
-        else:
-            if not 0 <= t < src.graph.commit_hi["t"]:
+        if side.axis != T:
+            if not 0 <= site[T] < src.graph.commit_hi[T]:
                 return None
-            t += src.t0 - dst.t0
-            if not 0 <= t < box["t"]:
-                return None
-            if side.axis == "row":
-                r = 0 if side.direction < 0 else box["row"] - 1
-            else:
-                c = 0 if side.direction < 0 else box["col"] - 1
-        if not (0 <= r < box["row"] and 0 <= c < box["col"]):
-            return None
-        return (t, r, c)
+            site[T] += src.t0 - dst.t0
+        site[side.axis] = 0 if side.direction < 0 else box[side.axis] - 1
+        if all(0 <= x < n for x, n in zip(site, box)):
+            return tuple(site)
+        return None
 
     # -- run ------------------------------------------------------------------
 

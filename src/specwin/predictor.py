@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoding_graph import AXES, BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
+from .decoding_graph import BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
 from .decoding_graph import build_window_graph, check_distance
 from .matching import crossing_site, dependency_bits
 # Not called here: specbench/tracing.py rebinds these names.
@@ -82,7 +82,7 @@ class BoundaryView:
 def boundary_view(g: DecodingGraph, plane: BoundaryPlane, s: Syndrome) -> BoundaryView:
     """Lit nodes within two layers of the plane's node layer."""
     lit = s.lit()
-    near = np.abs(g.axis_coord(lit, plane.side.axis) - plane.node_layer) <= 2
+    near = np.abs(g.node_coords(lit)[plane.side.axis] - plane.node_layer) <= 2
     return BoundaryView(g, plane, frozenset(lit[near].tolist()))
 
 
@@ -108,7 +108,7 @@ def predict_1step(v: BoundaryView) -> Prediction:
     causes is the price of a single phase).
     """
     g, plane = v.g, v.plane
-    k = AXES.index(plane.side.axis)
+    k = plane.side.axis
     declared = []
     for u in sorted(v.bits):
         coords = list(g.node_coords(u))
@@ -130,8 +130,7 @@ def _two_step(v: BoundaryView):
     1 on every lit node; declaring a match zeroes both counters, consuming
     the nodes.
     """
-    ext = v.g.extent
-    ec, er, et = ext["col"], ext["row"], ext["t"]
+    et, er, ec = v.g.extent
     # Each lit node's higher neighbours: +1 column, +1 row, +1 round.
     # (kind, lower endpoint) orders candidates as their edge ids do, since
     # the graph numbers column, then row, then temporal edges, each kind

@@ -36,6 +36,9 @@ from operator import attrgetter
 from .program import Instruction, PatchId, Program
 
 __all__ = [
+    "T",
+    "ROW",
+    "COL",
     "Side",
     "Face",
     "WindowCell",
@@ -52,6 +55,9 @@ __all__ = [
 STRATEGIES = ("sliding", "parallel", "aligned")
 SOURCE_COLOR = 0
 
+# The axes of a window box, as indices into a (round, row, col) coordinate.
+T, ROW, COL = 0, 1, 2
+
 # The largest task a cell can take, in d^3 units: a commit region of at most
 # d rounds plus one unit per face.  A cell has at most two temporal faces,
 # and at most two faces on each spatial side: a d-round cell overlaps at most
@@ -63,25 +69,26 @@ class Side(IntEnum):
     """The six faces of a window's box.
 
     Values are the faces' seeded-draw tags.  Each member carries its
-    ``orientation`` ("temporal" or "spatial"), its ``axis`` ("t", "row"
-    or "col"), its ``direction`` (+1 past the high end of the commit box,
+    ``orientation`` ("temporal" or "spatial"), its ``axis`` (T, ROW or
+    COL: the index of the axis it cuts in a (round, row, col) coordinate
+    or box), its ``direction`` (+1 past the high end of the commit box,
     -1 past the low end), its ``mirror`` (the same face seen from the
     neighbor), and its ``pair`` (orientation, lower-case name).
     """
 
-    PAST = 0, "t", -1
-    FUTURE = 1, "t", +1
-    NORTH = 2, "row", -1
-    SOUTH = 3, "row", +1
-    WEST = 4, "col", -1
-    EAST = 5, "col", +1
+    PAST = 0, T, -1
+    FUTURE = 1, T, +1
+    NORTH = 2, ROW, -1
+    SOUTH = 3, ROW, +1
+    WEST = 4, COL, -1
+    EAST = 5, COL, +1
 
-    def __new__(cls, value: int, axis: str, direction: int):
+    def __new__(cls, value: int, axis: int, direction: int):
         member = int.__new__(cls, value)
         member._value_ = value
         member.axis = axis
         member.direction = direction
-        member.orientation = "temporal" if axis == "t" else "spatial"
+        member.orientation = "temporal" if axis == T else "spatial"
         return member
 
     @classmethod

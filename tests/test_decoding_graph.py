@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from specwin.decoding_graph import EAST, WEST, build_window_graph
+from specwin.windowing import COL, T
 
 
 def bfs_distances(g, source: int) -> dict[int, int]:
@@ -148,25 +149,25 @@ def test_plane_geometry():
     past = build_window_graph(5, 5, [("temporal", "past"), ("spatial", "west")])
     assert all((p.node_layer, p.cut) == (0, -1) for p in past.planes)
     # One crossing edge per commit-layer node, cutting the axis at ``cut``.
-    per_layer = {"t": rows * (cols + cols), "col": (5 + 5) * rows}
+    per_layer = {T: rows * (cols + cols), COL: (5 + 5) * rows}
     for gg in (g, past):
         real = gg.edges_v >= 0
         u, v = gg.edges_u[real], gg.edges_v[real]
         all_ids = np.arange(gg.node_count)
         for p in gg.planes:
-            cu = gg.axis_coord(u, p.side.axis)
-            cv = gg.axis_coord(v, p.side.axis)
+            cu = gg.node_coords(u)[p.side.axis]
+            cv = gg.node_coords(v)[p.side.axis]
             crossing = (np.minimum(cu, cv) == p.cut) & (np.maximum(cu, cv) == p.cut + 1)
             commit = np.where(cu == p.node_layer, u, v)[crossing]
-            layer = all_ids[gg.axis_coord(all_ids, p.side.axis) == p.node_layer]
+            layer = all_ids[gg.node_coords(all_ids)[p.side.axis] == p.node_layer]
             assert commit.size == layer.size == per_layer[p.side.axis]
             assert sorted(commit.tolist()) == layer.tolist()
 
 
 def test_node_id_rejects_coordinates_outside_the_box():
     g = build_window_graph(5, 3, [("temporal", "past"), ("spatial", "east")])
-    first = [g.lo[a] for a in ("t", "row", "col")]
-    last = [g.hi[a] - 1 for a in ("t", "row", "col")]
+    first = list(g.lo)
+    last = [h - 1 for h in g.hi]
     assert g.node_id(*first) == 0
     assert g.node_id(*last) == g.node_count - 1
     for k in range(3):

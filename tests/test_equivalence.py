@@ -6,22 +6,26 @@ of every candidate, and from one sort of every candidate; clusters from a
 union over every useful pair; and cluster enumeration over every
 partner, memoized on frozensets.  The fast paths, which only try the
 pairs that can win, must reproduce their output exactly, tie-breaks
-included.
+included.  The engine's one-path projection of a dependency bit into its
+sink is checked against the per-axis branches it replaced.
 """
 import heapq
 import itertools
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specwin.decoding_graph import AXES, Syndrome, build_window_graph
+from specwin.decoding_graph import Syndrome, build_window_graph
 from specwin.matching import DEFAULT_CAP, ExactCapExceeded, crossing_site, decode
 from specwin.matching import dependency_bits, extract_dependency_bits
 from specwin.matching import _enumerate_cluster, _greedy, _greedy_candidates
+from specwin.pipeline import _Engine
 from specwin.predictor import MAX_COUNTER_SUM, BoundaryView, _two_step, boundary_view
+from specwin.windowing import COL, ROW, T, Face, Side
 from test_golden import FACE_SETS
 
 
@@ -163,6 +167,28 @@ def exact_reference(g, lit, cap):
     return pairs, weight
 
 
+def project_reference(f, src, dst, nid):
+    """``_Engine._project`` written with one branch per axis of the face."""
+    t, r, c = src.graph.node_coords(nid)
+    box = dst.graph.commit_hi
+    side = f.side
+    if side.axis == T:
+        t = 0 if side.direction < 0 else box[T] - 1
+    else:
+        if not 0 <= t < src.graph.commit_hi[T]:
+            return None
+        t += src.t0 - dst.t0
+        if not 0 <= t < box[T]:
+            return None
+        if side.axis == ROW:
+            r = 0 if side.direction < 0 else box[ROW] - 1
+        else:
+            c = 0 if side.direction < 0 else box[COL] - 1
+    if not (0 <= r < box[ROW] and 0 <= c < box[COL]):
+        return None
+    return (t, r, c)
+
+
 # -- strategies ----------------------------------------------------------------
 
 
@@ -198,6 +224,35 @@ def big_windows(k=None):
 
 
 big_window = big_windows()
+
+
+@lru_cache(maxsize=None)
+def sided_graph(d, rounds, sides):
+    return build_window_graph(d, rounds, [s.pair for s in sides])
+
+
+@st.composite
+def projection(draw):
+    """A sink face, its source and sink cells, and a node of the source's
+    window: in its commit box or anywhere in its box, and on its plane
+    layer or off it."""
+    d = draw(st.sampled_from((3, 5)))
+    side = draw(st.sampled_from(list(Side)))
+    # The source owns the buffer past the mirror face; its other buffers
+    # widen its box past its commit cross-section.
+    others = draw(st.sets(st.sampled_from([s for s in Side if s is not side.mirror])))
+    src_g = sided_graph(d, draw(st.integers(1, d)), (side.mirror, *sorted(others)))
+    dst_g = sided_graph(d, draw(st.integers(1, d)), ())
+    t0 = draw(st.integers(0, 2 * d))
+    src = SimpleNamespace(graph=src_g, t0=t0)
+    dst = SimpleNamespace(graph=dst_g, t0=t0 + draw(st.integers(-d - 1, d + 1)))
+    lo = draw(st.sampled_from((src_g.lo, (0, 0, 0))))
+    hi = src_g.hi if lo is src_g.lo else src_g.commit_hi
+    coords = [draw(st.integers(a, b - 1)) for a, b in zip(lo, hi)]
+    if draw(st.booleans()):
+        plane = next(p for p in src_g.planes if p.side is side.mirror)
+        coords[side.axis] = plane.node_layer
+    return Face(side, 0), src, dst, src_g.node_id(*coords)
 
 
 # -- tests ---------------------------------------------------------------------
@@ -313,18 +368,26 @@ def test_dependency_bits_match_whole_window_decode(k, data):
     assert dependency_bits(g, s) == [extract_dependency_bits(m, g, pl) for pl in g.planes]
 
 
+@settings(max_examples=600, deadline=None)
+@given(case=projection())
+def test_project_matches_per_axis_reference(case):
+    """On all six faces, any round offset between source and sink and cells
+    1..d rounds high: the same site lands on the same sink node, and the
+    same sites are dropped."""
+    assert _Engine._project(*case) == project_reference(*case)
+
+
 @pytest.mark.parametrize("k", range(len(FACE_SETS)))
 def test_node_id_int_path_matches_array_path(k):
     """Over the box and one step past each face: int coordinates give numpy's
     row-major index of the box as a Python int, and raise outside."""
     g = graph(3, 2, k)
-    shape = [g.extent[a] for a in AXES]
-    spans = [range(g.lo[a] - 1, g.hi[a] + 1) for a in AXES]
+    spans = [range(lo - 1, hi + 1) for lo, hi in zip(g.lo, g.hi)]
     for coords in itertools.product(*spans):
-        if all(g.lo[a] <= x < g.hi[a] for a, x in zip(AXES, coords)):
+        if all(lo <= x < hi for lo, x, hi in zip(g.lo, coords, g.hi)):
             got = g.node_id(*coords)
             assert type(got) is int
-            assert got == np.ravel_multi_index([x - g.lo[a] for a, x in zip(AXES, coords)], shape)
+            assert got == np.ravel_multi_index(np.subtract(coords, g.lo), g.extent)
             assert g.node_coords(got) == coords
         else:
             with pytest.raises(IndexError):

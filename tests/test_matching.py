@@ -16,6 +16,7 @@ from specwin.decoding_graph import EAST, WEST, DecodingGraph, Syndrome, build_wi
 from specwin.matching import DEFAULT_CAP, Matching, _greedy
 from specwin import matching
 from specwin.matching import decode, dependency_bits, extract_dependency_bits
+from specwin.windowing import COL
 
 
 # -- reference router: the canonical path of a matched pair, edge by edge --
@@ -32,13 +33,13 @@ def path_edges(g, u: int, v: int) -> list[int]:
         t, r, c = (int(x) for x in g.node_coords(u))
         edges = []
         if v == WEST:
-            for cc in range(c, g.lo["col"], -1):
+            for cc in range(c, g.lo[COL], -1):
                 edges.append(index[_ekey(g, (t, r, cc - 1), (t, r, cc))])
-            edges.append(index[(int(g.node_id(t, r, g.lo["col"])), WEST)])
+            edges.append(index[(int(g.node_id(t, r, g.lo[COL])), WEST)])
         else:
-            for cc in range(c, g.hi["col"] - 1):
+            for cc in range(c, g.hi[COL] - 1):
                 edges.append(index[_ekey(g, (t, r, cc), (t, r, cc + 1))])
-            edges.append(index[(int(g.node_id(t, r, g.hi["col"] - 1)), EAST)])
+            edges.append(index[(int(g.node_id(t, r, g.hi[COL] - 1)), EAST)])
         return edges
     a, b = min(u, v), max(u, v)
     ta, ra, ca = (int(x) for x in g.node_coords(a))

@@ -38,7 +38,7 @@ from specwin.program import (
     Program,
     builtin_program,
 )
-from specwin.windowing import MAX_TASK_UNITS, STRATEGIES, Side
+from specwin.windowing import MAX_TASK_UNITS, STRATEGIES, T, Side
 
 
 def idle_program(d: int, rounds: int) -> Program:
@@ -158,7 +158,16 @@ def test_config_validation():
         SimConfig(accuracy=0.5, accuracy_adjacent=0.6).validate()
     with pytest.raises(ValueError):
         SimConfig(processors=0).validate()
+    # Seeds and pool sizes are whole ints: a float seed would run as its
+    # truncation.
+    for bad in (1.5, 1.0, True, "3", -1, None):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=bad).validate()
+    for bad in (2.5, 2.0, True, "2", 0):
+        with pytest.raises(ValueError, match="processors"):
+            SimConfig(processors=bad).validate()
     SimConfig().validate()
+    SimConfig(seed=2**40, processors=3).validate()
 
 
 # -- verification timing ----------------------------------------------------
@@ -640,12 +649,12 @@ def _chain_toggles(g, plane, inner, outer):
 def _crossing(side, t, d, rounds):
     """Commit-side and buffer-side (t, row, col) of an edge across ``side``."""
     rows, cols = d - 1, (d + 1) // 2
-    inner = {"t": t, "row": rows // 2, "col": cols // 2}
-    high = {"t": rounds, "row": rows, "col": cols}[side.axis] - 1
+    inner = [t, rows // 2, cols // 2]
+    high = (rounds, rows, cols)[side.axis] - 1
     inner[side.axis] = high if side.direction > 0 else 0
-    outer = dict(inner)
+    outer = list(inner)
     outer[side.axis] += side.direction
-    return tuple(inner.values()), tuple(outer.values())
+    return tuple(inner), tuple(outer)
 
 
 def test_injected_crossing_chain_toggles_matching_sink_node():
@@ -660,8 +669,8 @@ def test_injected_crossing_chain_toggles_matching_sink_node():
     # The chain's buffer-side end lies in the sink's patch, on the sink's face
     # layer: same round and same coordinate along the face.
     rows, cols = d - 1, (d + 1) // 2
-    want = {"t": t_global - dst.t0, "row": outer[1] % rows, "col": outer[2] % cols}
-    assert engine._project(back, src, dst, site) == tuple(want.values())
+    want = (t_global - dst.t0, outer[1] % rows, outer[2] % cols)
+    assert engine._project(back, src, dst, site) == want
 
 
 def test_chain_in_sources_other_buffer_is_dropped():
@@ -683,8 +692,8 @@ def test_chain_in_sources_other_buffer_is_dropped():
     inner, _ = _crossing(Side.FUTURE, 0, d, rounds)
     far = g.hi[spatial.axis] - 1 if spatial.direction > 0 else g.lo[spatial.axis]
     inner = list(inner)
-    inner[{"row": 1, "col": 2}[spatial.axis]] = far
-    inner, outer = tuple(inner), (inner[0] + 1, inner[1], inner[2])
+    inner[spatial.axis] = far
+    inner, outer = tuple(inner), (inner[T] + 1, *inner[1:])
     (site,) = _chain_toggles(g, plane, inner, outer)
     assert engine._project(past, src, later, site) is None
 
