@@ -74,19 +74,11 @@ _T_SPEC = 1
 _U32_MAX, _U64_MAX, _U128_MAX = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
-def _hash_consts(h: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
-    out = []
-    for _ in range(n):
-        nxt = h * mult & _U32_MAX
-        out.append((h, nxt))
-        h = nxt
-    return tuple(out)
-
-
-# SeedSequence.generate_state's (xor, multiplier) hash constants, one pair
-# per output word, and PCG64's 128-bit LCG multiplier.
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+# PCG64's 128-bit LCG multiplier.  Seeding takes two LCG steps, folded into
+# one: state = (inc + init) * MULT^2 + inc * (MULT + 1).
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG64_MULT2 = _PCG64_MULT * _PCG64_MULT & _U128_MAX
+_PCG64_MULT1 = _PCG64_MULT + 1
 
 
 def _first_double(pool: np.ndarray) -> float:
@@ -95,16 +87,32 @@ def _first_double(pool: np.ndarray) -> float:
     Replays numpy from the sequence's mixed entropy ``pool`` (four uint32
     words): ``generate_state(4, uint64)``, PCG64 seeding, one XSL-RR output
     and the 53-bit double conversion.
+
+    ``generate_state`` hashes its output word i, i < 8, from ``pool[i % 4]``
+    as ``v = (w ^ h_i) * h_(i+1) mod 2^32; v ^ v >> 16``, with
+    ``h_0 = 0x8B51F9DD`` and ``h_(i+1) = h_i * 0x58F38DED mod 2^32``; the
+    ``h_i`` are written out below.
     """
-    words = pool.tolist() * 2
-    st = []
-    for w, (x, m) in zip(words, _STATE_HASH):
-        v = (w ^ x) * m & _U32_MAX
-        st.append(v ^ v >> 16)
-    init = st[1] << 96 | st[0] << 64 | st[3] << 32 | st[2]
-    inc = (st[5] << 96 | st[4] << 64 | st[7] << 32 | st[6]) << 1 & _U128_MAX | 1
-    state = ((inc + init) * _PCG64_MULT + inc) & _U128_MAX
-    state = (state * _PCG64_MULT + inc) & _U128_MAX
+    w0, w1, w2, w3 = pool.tolist()
+    v = (w0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF
+    s0 = v ^ v >> 16
+    v = (w1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF
+    s1 = v ^ v >> 16
+    v = (w2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF
+    s2 = v ^ v >> 16
+    v = (w3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF
+    s3 = v ^ v >> 16
+    v = (w0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF
+    s4 = v ^ v >> 16
+    v = (w1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF
+    s5 = v ^ v >> 16
+    v = (w2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF
+    s6 = v ^ v >> 16
+    v = (w3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF
+    s7 = v ^ v >> 16
+    init = s1 << 96 | s0 << 64 | s3 << 32 | s2
+    inc = (s5 << 96 | s4 << 64 | s7 << 32 | s6) << 1 & _U128_MAX | 1
+    state = ((inc + init) * _PCG64_MULT2 + inc * _PCG64_MULT1) & _U128_MAX
     x = (state >> 64 ^ state) & _U64_MAX
     rot = state >> 122
     x = (x >> rot | x << (64 - rot)) & _U64_MAX
@@ -245,6 +253,10 @@ class SimConfig:
             raise ValueError(f"unknown speculation mode {self.speculation!r}")
         if self.recovery not in RECOVERY_STRATEGIES:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
+        for name in ("accuracy", "accuracy_adjacent", "noise_p"):
+            x = getattr(self, name)
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
+                raise ValueError(f"{name} must be a number, got {x!r}")
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")
         # ``type(x) is int`` turns away bools and floats: the keyed draws
@@ -814,7 +826,17 @@ class _Engine:
 
     def _by_draw(self, cell: _Cell) -> list[Face]:
         """Stochastic mode: the published cell's source faces whose
-        speculated bits a keyed draw marks wrong."""
+        speculated bits a keyed draw marks wrong.
+
+        A face is wrong if its draw ``u`` exceeds ``accuracy``, or exceeds
+        ``accuracy_adjacent`` while the face meets a wrong face at a
+        corner.  A draw lies in [0, 1), so at ``accuracy_adjacent >= 1`` no
+        face can be wrong and none is drawn; draws are keyed, so skipping
+        them moves no other draw.
+        """
+        acc, acc_adj = self.cfg.accuracy, self.cfg.accuracy_adjacent
+        if acc_adj >= 1.0:
+            return []
         wrongs = []
         side, k = None, 0
         for f in cell.sources:
@@ -823,12 +845,11 @@ class _Engine:
             side = f.side
             ids = (*cell.patch, cell.index, side)
             u = self._uniform(_SPEC, *ids, k) if k else self._uniform(_SPEC, *ids)
-            thr = self.cfg.accuracy
-            if self.wrong_faces and not self.wrong_faces.isdisjoint(
-                self._adjacent_faces(cell, f)
+            if u > acc or (
+                u > acc_adj
+                and self.wrong_faces
+                and not self.wrong_faces.isdisjoint(self._adjacent_faces(cell, f))
             ):
-                thr = self.cfg.accuracy_adjacent
-            if u > thr:
                 wrongs.append(f)
         return wrongs
 

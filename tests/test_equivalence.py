@@ -7,10 +7,13 @@ union over every useful pair; and cluster enumeration over every
 partner, memoized on frozensets.  The fast paths, which only try the
 pairs that can win, must reproduce their output exactly, tie-breaks
 included.  The engine's one-path projection of a dependency bit into its
-sink is checked against the per-axis branches it replaced.
+sink is checked against the per-axis branches it replaced, and its
+stochastic judge, which draws and scans corners only where the verdict
+can change, against the eager judge that always does both.
 """
 import heapq
 import itertools
+from dataclasses import replace
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -23,10 +26,11 @@ from specwin.decoding_graph import Syndrome, build_window_graph
 from specwin.matching import DEFAULT_CAP, ExactCapExceeded, crossing_site, decode
 from specwin.matching import dependency_bits, extract_dependency_bits
 from specwin.matching import _enumerate_cluster, _greedy, _greedy_candidates
-from specwin.pipeline import _Engine
+from specwin.pipeline import _SPEC, LatencyModel, SimConfig, _Engine, processor_heuristic
 from specwin.predictor import MAX_COUNTER_SUM, BoundaryView, _two_step, boundary_view
+from specwin.program import builtin_program
 from specwin.windowing import COL, ROW, T, Face, Side
-from test_golden import FACE_SETS
+from test_golden import FACE_SETS, PROGRAMS
 
 
 @lru_cache(maxsize=None)
@@ -187,6 +191,29 @@ def project_reference(f, src, dst, nid):
     if not (0 <= r < box[ROW] and 0 <= c < box[COL]):
         return None
     return (t, r, c)
+
+
+class EagerJudgeEngine(_Engine):
+    """The engine with the eager stochastic judge: every source face draws,
+    and once any face is wrong each face's threshold is chosen from its
+    corner faces before its draw is compared."""
+
+    def _by_draw(self, cell):
+        wrongs = []
+        side, k = None, 0
+        for f in cell.sources:
+            k = k + 1 if f.side is side else 0
+            side = f.side
+            ids = (*cell.patch, cell.index, side)
+            u = self._uniform(_SPEC, *ids, k) if k else self._uniform(_SPEC, *ids)
+            thr = self.cfg.accuracy
+            if self.wrong_faces and not self.wrong_faces.isdisjoint(
+                self._adjacent_faces(cell, f)
+            ):
+                thr = self.cfg.accuracy_adjacent
+            if u > thr:
+                wrongs.append(f)
+        return wrongs
 
 
 # -- strategies ----------------------------------------------------------------
@@ -392,3 +419,69 @@ def test_node_id_int_path_matches_array_path(k):
         else:
             with pytest.raises(IndexError):
                 g.node_id(*coords)
+
+
+# (accuracy, accuracy_adjacent): perfect, no corner band, the defaults, a wide
+# band, perfect only away from wrong corners, and always wrong.
+ACCURACY_PAIRS = ((1.0, 1.0), (0.9, 0.9), (0.9, 0.86), (0.5, 0.0), (1.0, 0.5), (0.0, 0.0))
+# Draws snapped onto these values land exactly on every threshold above.
+GRID_DRAWS = (0.0, 0.3, 0.5, 0.7, 0.86, 0.88, 0.9, 0.95, 1.0 - 2.0**-53)
+
+
+def _grid_uniform(uniform):
+    def draw(self, tag, *ids):
+        return GRID_DRAWS[int(uniform(self, tag, *ids) * len(GRID_DRAWS))]
+
+    return draw
+
+
+@pytest.mark.parametrize("draws", ("keyed", "grid"))
+@pytest.mark.parametrize("acc", ACCURACY_PAIRS, ids=str)
+@pytest.mark.parametrize("name", PROGRAMS)
+def test_judge_matches_eager_reference(name, acc, draws, monkeypatch):
+    """Skipping the draws and corner scans that cannot change a verdict
+    leaves every result field as the eager judge gives it, on keyed draws
+    and on draws that sit exactly on the thresholds."""
+    if draws == "grid":
+        monkeypatch.setattr(_Engine, "_uniform", _grid_uniform(_Engine._uniform))
+    prog = builtin_program(name, 3, **PROGRAMS[name])
+    for strategy, recovery, latency in itertools.product(
+        ("sliding", "parallel", "aligned"),
+        ("optimistic", "adjacent", "pessimistic"),
+        (LatencyModel.fixed(6), LatencyModel.linear(0.7)),
+    ):
+        cfg = SimConfig(
+            strategy=strategy,
+            speculation="stochastic",
+            accuracy=acc[0],
+            accuracy_adjacent=acc[1],
+            recovery=recovery,
+            latency=latency,
+            seed=11,
+        )
+        want = EagerJudgeEngine(prog, cfg).run().to_json()
+        assert _Engine(prog, cfg).run().to_json() == want, (strategy, recovery, latency)
+
+
+def test_processor_probe_makes_no_speculation_draw(monkeypatch):
+    """The probe runs at perfect accuracy, where no draw can mark a face
+    wrong, so it draws only its conditional coins; the eager judge draws
+    for every published face there."""
+    uniform = _Engine._uniform
+    tags = []
+
+    def counted(self, tag, *ids):
+        tags.append(tag)
+        return uniform(self, tag, *ids)
+
+    monkeypatch.setattr(_Engine, "_uniform", counted)
+    for name in PROGRAMS:
+        prog = builtin_program(name, 3, **PROGRAMS[name])
+        cfg = SimConfig(strategy="parallel", latency=LatencyModel.fixed(6))
+        processor_heuristic(prog, cfg)
+        assert _SPEC not in tags, name
+        tags.clear()
+        probe = replace(cfg, speculation="stochastic", accuracy=1.0, accuracy_adjacent=1.0)
+        EagerJudgeEngine(prog, probe).run()
+        assert _SPEC in tags, name
+        tags.clear()

@@ -3,9 +3,12 @@
 import csv
 import io
 
+import pytest
+
 from specwin.pipeline import LatencyModel, SimConfig, simulate
-from specwin.program import builtin_program
+from specwin.program import BUILTIN_PROGRAMS, builtin_program
 from specwin.render import trace_rows, trace_svg, write_trace_csv
+from specwin.windowing import STRATEGIES
 
 
 def run_msd(stall=True):
@@ -59,6 +62,24 @@ def test_csv_roundtrip():
     body = list(reader)
     assert len(body) == len(trace_rows(prog, res))
     assert all(len(row) == 4 for row in body)
+
+
+@pytest.mark.parametrize("stall", (True, False))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", BUILTIN_PROGRAMS)
+def test_csv_bytes_match_csv_writer(name, strategy, stall):
+    """One-patch and multi-patch lanes alike, the CSV is byte for byte what
+    csv.writer makes of the header and trace_rows."""
+    prog = builtin_program(name, 3)
+    cfg = SimConfig(strategy=strategy, latency=LatencyModel.fixed(6), stall_blocking=stall)
+    res = simulate(prog, cfg)
+    want = io.StringIO()
+    writer = csv.writer(want)
+    writer.writerow(["round", "patch_row", "patch_col", "label"])
+    writer.writerows(trace_rows(prog, res))
+    got = io.StringIO()
+    write_trace_csv(prog, res, got)
+    assert got.getvalue() == want.getvalue()
 
 
 def test_svg_structure():
