@@ -20,6 +20,7 @@ import gc
 import heapq
 import json
 import math
+import numbers
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -74,8 +75,19 @@ _T_SPEC = 1
 _U32_MAX, _U64_MAX, _U128_MAX = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
-# PCG64's 128-bit LCG multiplier.  Seeding takes two LCG steps, folded into
-# one: state = (inc + init) * MULT^2 + inc * (MULT + 1).
+def _hash_consts(h: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
+    out = []
+    for _ in range(n):
+        nxt = h * mult & _U32_MAX
+        out.append((h, nxt))
+        h = nxt
+    return tuple(out)
+
+
+# SeedSequence.generate_state's (xor, multiplier) hash constants, one pair
+# per output word, and PCG64's 128-bit LCG multiplier.  Seeding takes two
+# LCG steps, folded into one: state = (inc + init) * MULT^2 + inc * (MULT + 1).
+_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG64_MULT2 = _PCG64_MULT * _PCG64_MULT & _U128_MAX
 _PCG64_MULT1 = _PCG64_MULT + 1
@@ -87,31 +99,14 @@ def _first_double(pool: np.ndarray) -> float:
     Replays numpy from the sequence's mixed entropy ``pool`` (four uint32
     words): ``generate_state(4, uint64)``, PCG64 seeding, one XSL-RR output
     and the 53-bit double conversion.
-
-    ``generate_state`` hashes its output word i, i < 8, from ``pool[i % 4]``
-    as ``v = (w ^ h_i) * h_(i+1) mod 2^32; v ^ v >> 16``, with
-    ``h_0 = 0x8B51F9DD`` and ``h_(i+1) = h_i * 0x58F38DED mod 2^32``; the
-    ``h_i`` are written out below.
     """
-    w0, w1, w2, w3 = pool.tolist()
-    v = (w0 ^ 0x8B51F9DD) * 0x464A0A99 & 0xFFFFFFFF
-    s0 = v ^ v >> 16
-    v = (w1 ^ 0x464A0A99) * 0x819D14A5 & 0xFFFFFFFF
-    s1 = v ^ v >> 16
-    v = (w2 ^ 0x819D14A5) * 0xD369FDC1 & 0xFFFFFFFF
-    s2 = v ^ v >> 16
-    v = (w3 ^ 0xD369FDC1) * 0x501638AD & 0xFFFFFFFF
-    s3 = v ^ v >> 16
-    v = (w0 ^ 0x501638AD) * 0xA600C129 & 0xFFFFFFFF
-    s4 = v ^ v >> 16
-    v = (w1 ^ 0xA600C129) * 0x8B0167F5 & 0xFFFFFFFF
-    s5 = v ^ v >> 16
-    v = (w2 ^ 0x8B0167F5) * 0x5C1E2ED1 & 0xFFFFFFFF
-    s6 = v ^ v >> 16
-    v = (w3 ^ 0x5C1E2ED1) * 0x301D747D & 0xFFFFFFFF
-    s7 = v ^ v >> 16
-    init = s1 << 96 | s0 << 64 | s3 << 32 | s2
-    inc = (s5 << 96 | s4 << 64 | s7 << 32 | s6) << 1 & _U128_MAX | 1
+    words = pool.tolist() * 2
+    st = []
+    for w, (x, m) in zip(words, _STATE_HASH):
+        v = (w ^ x) * m & _U32_MAX
+        st.append(v ^ v >> 16)
+    init = st[1] << 96 | st[0] << 64 | st[3] << 32 | st[2]
+    inc = (st[5] << 96 | st[4] << 64 | st[7] << 32 | st[6]) << 1 & _U128_MAX | 1
     state = ((inc + init) * _PCG64_MULT2 + inc * _PCG64_MULT1) & _U128_MAX
     x = (state >> 64 ^ state) & _U64_MAX
     rot = state >> 122
@@ -255,7 +250,7 @@ class SimConfig:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         for name in ("accuracy", "accuracy_adjacent", "noise_p"):
             x = getattr(self, name)
-            if not isinstance(x, (int, float)) or isinstance(x, bool):
+            if not isinstance(x, numbers.Real) or isinstance(x, bool):
                 raise ValueError(f"{name} must be a number, got {x!r}")
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")

@@ -98,17 +98,8 @@ def write_trace_csv(program: Program, result: SimResult, fh: IO[str]) -> None:
     """Write the header and ``trace_rows`` as ``csv.writer`` would, byte for
     byte: labels are instruction kinds, Stall and Gap, which its minimal
     quoting never quotes, so rows are formatted directly."""
-    lanes = [(patch, segs) for patch, segs in _lanes(program, result).items() if segs]
     out = ["round,patch_row,patch_col,label\r\n"]
-    if len(lanes) == 1:
-        # One lane's blocks run in round order, so its rows need no sort,
-        # and each block's rows share one suffix.
-        (r, c), segs = lanes[0]
-        for t0, t1, label in _blocks(program, segs):
-            tail = f",{r},{c},{label}\r\n"
-            out += [f"{t}{tail}" for t in range(t0, t1)]
-    else:
-        out += [f"{t},{r},{c},{label}\r\n" for t, r, c, label in trace_rows(program, result)]
+    out += [f"{t},{r},{c},{label}\r\n" for t, r, c, label in trace_rows(program, result)]
     fh.write("".join(out))
 
 

@@ -166,14 +166,19 @@ def test_config_validation():
     for bad in (2.5, 2.0, True, "2", 0):
         with pytest.raises(ValueError, match="processors"):
             SimConfig(processors=bad).validate()
-    # Probabilities are int or float numbers; a bool or a string is not.
+    # Probabilities are real numbers, numpy scalars included; a bool or a
+    # string is not.
     for name in ("accuracy", "accuracy_adjacent", "noise_p"):
-        for bad in ("0.5", False, True, None, [0.5]):
+        for bad in ("0.5", False, True, np.bool_(True), None, [0.5]):
             with pytest.raises(ValueError, match=name):
                 SimConfig(**{name: bad}).validate()
     SimConfig().validate()
     SimConfig(seed=2**40, processors=3).validate()
     SimConfig(accuracy=1, accuracy_adjacent=0, noise_p=0).validate()
+    SimConfig(
+        accuracy=np.float32(0.9), accuracy_adjacent=np.int64(0), noise_p=np.float32(1e-3)
+    ).validate()
+    SimConfig(accuracy=np.int64(1), accuracy_adjacent=np.float32(0.5), noise_p=np.int64(0)).validate()
 
 
 # -- verification timing ----------------------------------------------------
