@@ -19,6 +19,7 @@ side's ``axis`` (T, ROW or COL) indexes either.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,9 +40,21 @@ WEST = -1
 EAST = -2
 
 
+def is_real(v) -> bool:
+    """Whether ``v`` is a real number, numpy scalars included; a bool is not."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def check_whole(name: str, v, least: int) -> None:
+    """Raise ValueError unless ``v`` is an int (numpy's too) >= ``least``."""
+    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {v!r}")
+
+
 def check_distance(d: int) -> None:
     """Raise ValueError unless ``d`` is an odd code distance >= 3."""
-    if d < 3 or d % 2 == 0:
+    check_whole("d", d, 3)
+    if d % 2 == 0:
         raise ValueError(f"d must be odd and >= 3, got {d}")
 
 
@@ -87,8 +100,7 @@ class DecodingGraph:
 
     def __init__(self, d: int, commit_rounds: int, buffer_spec):
         check_distance(d)
-        if commit_rounds < 1:
-            raise ValueError(f"commit_rounds must be >= 1, got {commit_rounds}")
+        check_whole("commit_rounds", commit_rounds, 1)
         self.d = d
         self.sides = [Side.from_pair(b) for b in buffer_spec]
         if len(set(self.sides)) < len(self.sides):

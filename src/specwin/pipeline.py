@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .decoding_graph import Syndrome, build_window_graph
+from .decoding_graph import Syndrome, build_window_graph, check_whole, is_real
 from .matching import dependency_bits
 # Not called here: specbench/tracing.py rebinds these names.
 from .matching import decode, extract_dependency_bits  # noqa: F401
@@ -133,12 +133,12 @@ class LatencyModel:
 
     @classmethod
     def fixed(cls, rounds: int) -> "LatencyModel":
-        if not float(rounds).is_integer():
-            raise ValueError(f"fixed latency takes whole rounds, got {rounds!r}")
+        cls(kind="fixed", rounds=rounds).validate()
         return cls(kind="fixed", rounds=int(rounds))
 
     @classmethod
     def linear(cls, rate: float) -> "LatencyModel":
+        cls(kind="linear", rate=rate).validate()
         return cls(kind="linear", rate=float(rate))
 
     @classmethod
@@ -154,10 +154,10 @@ class LatencyModel:
         a finite number of rounds."""
         if self.kind not in ("fixed", "linear", "empirical"):
             raise ValueError(f"unknown latency kind {self.kind!r}")
-        if self.kind == "fixed" and self.rounds < 1:
-            raise ValueError("fixed latency must be >= 1 round")
-        if self.kind == "linear" and not (math.isfinite(self.rate) and self.rate > 0):
-            raise ValueError("linear latency rate must be positive and finite")
+        if self.kind == "fixed" and not _whole_rounds(self.rounds):
+            raise ValueError(f"fixed latency rounds must be whole and >= 1, got {self.rounds!r}")
+        if self.kind == "linear" and not (is_real(self.rate) and 0 < self.rate < math.inf):
+            raise ValueError(f"linear latency rate must be positive and finite, got {self.rate!r}")
         if self.kind == "linear" and d is not None and not math.isfinite(
             self.rate * MAX_TASK_UNITS * d
         ):
@@ -178,8 +178,8 @@ class LatencyModel:
 
 
 def _whole_rounds(v) -> bool:
-    """Whether ``v`` is a whole number >= 1; a bool is not."""
-    return (type(v) is int or (type(v) is float and v.is_integer())) and v >= 1
+    """Whether ``v`` is a whole number >= 1, numpy integers included; a bool is not."""
+    return is_real(v) and (isinstance(v, numbers.Integral) or float(v).is_integer()) and v >= 1
 
 
 def _parse_rounds(text: str, d: int) -> int:
@@ -250,19 +250,19 @@ class SimConfig:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         for name in ("accuracy", "accuracy_adjacent", "noise_p"):
             x = getattr(self, name)
-            if not isinstance(x, numbers.Real) or isinstance(x, bool):
+            if not is_real(x):
                 raise ValueError(f"{name} must be a number, got {x!r}")
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")
-        # ``type(x) is int`` turns away bools and floats: the keyed draws
-        # would truncate a float seed without a word.
-        p = self.processors
-        if p is not None and (type(p) is not int or p < 1):
-            raise ValueError(f"processors must be None or a whole number >= 1, got {p!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"seed must be a whole number >= 0, got {self.seed!r}")
+        # Ints only, not bools or floats: the keyed draws would truncate a
+        # float seed without a word.
+        if self.processors is not None:
+            check_whole("processors", self.processors, 1)
+        check_whole("seed", self.seed, 0)
         if not (0.0 <= self.noise_p < 1.0):
             raise ValueError("noise_p must be in [0, 1)")
+        if not isinstance(self.latency, LatencyModel):
+            raise ValueError(f"latency must be a LatencyModel, got {self.latency!r}")
         self.latency.validate(d)
 
 
@@ -427,7 +427,7 @@ class _Cell(WindowCell):
 
     __slots__ = (
         "vgen", "gen_time", "spec_time", "verified_at", "running", "done",
-        "queued", "attempts", "first_start", "hooks", "graph", "truth",
+        "queued", "attempts", "first_start", "hooks", "truth",
     )
 
     def __init__(self, id: int, patch: tuple, index: int, t0: int, t1: int):
@@ -442,21 +442,21 @@ class _Cell(WindowCell):
         self.attempts = 0
         self.first_start: int | None = None
         self.hooks: list[_Release] = []
-        self.graph = None
-        # One boundary plane per source side, shared by faces on that side.
-        self.truth: dict[Side, Any] = {}
+        # Integrated truth per source side (faces on a side share its plane):
+        # toggled (round, row, col) sites in this cell's window frame.
+        self.truth: dict[Side, frozenset] = {}
 
 
 class _Release:
     """Release of one blocking instruction: it resolves, and ``resume`` is
-    set, once every covering cell is verified."""
+    set, when the last of its ``pending`` covering cells verifies."""
 
-    __slots__ = ("gi", "t_b", "cells", "resume")
+    __slots__ = ("gi", "t_b", "pending", "resume")
 
     def __init__(self, gi: int, t_b: int):
         self.gi = gi
         self.t_b = t_b
-        self.cells: list[_Cell] = []
+        self.pending = 0
         self.resume: int | None = None
 
 
@@ -659,16 +659,15 @@ class _Engine:
                 qs.death = end
                 self._apply_death(q)
         if ins.merging:
-            patches = list(ins.patches)
-            for i, pa in enumerate(patches):
-                for pb in patches[i + 1:]:
+            for i, pa in enumerate(ins.patches):
+                for pb in ins.patches[i + 1:]:
                     if abs(pa[0] - pb[0]) + abs(pa[1] - pb[1]) == 1:
                         self._connect(pa, pb, start, end)
         if ins.blocking:
             rel = _Release(gi, end)
             for q in ins.patches:
                 for cell in _overlapping(self.pstate[q].cells, start, end):
-                    rel.cells.append(cell)
+                    rel.pending += 1
                     cell.hooks.append(rel)
             self.releases[gi] = rel
 
@@ -749,9 +748,16 @@ class _Engine:
         if cell.first_start is None:
             cell.first_start = now
         cell.running = _Task(now, now + dur, attempt, tuple(consumed))
-        self.running_count += 1
-        self.occupancy.append((now, self.running_count))
+        self._occupy(1)
         self._push(now + dur, _PH_DONE, cell.id, attempt)
+
+    def _occupy(self, delta: int) -> None:
+        """Add ``delta`` to the running count and record it; once per round."""
+        self.running_count += delta
+        occ = self.occupancy
+        if occ and occ[-1][0] == self.clock:
+            occ.pop()
+        occ.append((self.clock, self.running_count))
 
     def _dispatch(self) -> None:
         if self.cfg.processors is None:
@@ -765,8 +771,7 @@ class _Engine:
         """Take the cell's running task off its processor."""
         task = cell.running
         cell.running = None
-        self.running_count -= 1
-        self.occupancy.append((self.clock, self.running_count))
+        self._occupy(-1)
         return task
 
     def _on_done(self, cid: int, attempt: int) -> None:
@@ -859,18 +864,11 @@ class _Engine:
         return out
 
     def _note_release(self, rel: _Release) -> None:
-        if rel.resume is not None:
+        """A covering cell of ``rel`` verified now; the last one resolves it."""
+        rel.pending -= 1
+        if rel.pending:
             return
-        latest = rel.t_b
-        for c in rel.cells:
-            if c.verified_at is None:
-                return
-            if c.verified_at > latest:
-                latest = c.verified_at
-        # Resolved: the release no longer needs its cells, and dropping them
-        # keeps cells and releases free of reference cycles.
-        rel.cells = []
-        reaction = latest - rel.t_b
+        reaction = max(0, self.clock - rel.t_b)
         self.reactions.append((rel.gi, reaction))
         blocks = (reaction + 2 * self.d - 1) // (2 * self.d)
         rel.resume = rel.t_b + 2 * self.d * blocks
@@ -927,23 +925,26 @@ class _Engine:
         matching decode of its keyed syndrome with its ``consumed`` sources'
         truth projected in; then judge its published prediction by it.  The
         prediction reads only that syndrome, fixed before the cell generated,
-        so predicting now gives the bits it published."""
+        so predicting now gives the bits it published.  Both are sites in the
+        cell's window frame, and only truth is kept, not the window graph."""
         # One buffer per side, however many faces lie on it.
         sides = dict.fromkeys(f.side.pair for f in cell.sources)
-        g = cell.graph = build_window_graph(self.d, cell.rounds, list(sides))
+        g = build_window_graph(self.d, cell.rounds, list(sides))
         _, synd = g.sample_errors(self.cfg.noise_p, self._rng(_WIN, *cell.patch, cell.index))
         bits = synd.bits.copy()
         for f, src, _ in consumed:
-            for nid in src.truth[f.side.mirror].sites:
-                loc = self._project(f, src, cell, nid)
+            for site in src.truth[f.side.mirror]:
+                loc = self._project(f, src, cell, g.commit_hi, site)
                 if loc is not None:
                     bits[g.node_id(*loc)] ^= 1
         for plane, truth in zip(g.planes, dependency_bits(g, Syndrome(bits))):
-            cell.truth[plane.side] = truth
+            cell.truth[plane.side] = frozenset(map(g.node_coords, truth.sites))
         if cell.spec_time is None:
             return []
         pred = {
-            plane.side: predict_3step(boundary_view(g, plane, synd)).bits.sites
+            plane.side: frozenset(
+                map(g.node_coords, predict_3step(boundary_view(g, plane, synd)).bits.sites)
+            )
             for plane in g.planes
         }
         return [f for f in cell.sources if self._plane_wrong(cell, f, pred[f.side])]
@@ -956,31 +957,29 @@ class _Engine:
         sharing a side share its plane, so each is judged only by the plane
         sites in its neighbour's rounds.
         """
-        truth = cell.truth[f.side].sites
+        truth = cell.truth[f.side]
         if pred == truth:
             return False
         if sum(g.side is f.side for g in cell.sources) == 1:
             return True
         nbr = self.cells[f.neighbor]
-        lo, hi = nbr.t0 - cell.t0, nbr.t1 - cell.t0
-        return any(lo <= cell.graph.node_coords(site)[T] < hi for site in pred ^ truth)
+        return any(nbr.t0 <= cell.t0 + site[T] < nbr.t1 for site in pred ^ truth)
 
     @staticmethod
-    def _project(f: Face, src: _Cell, dst: _Cell, nid: int):
-        """Map one source-plane toggle site into the sink's frame.
+    def _project(f: Face, src: _Cell, dst: _Cell, box: tuple, site: tuple):
+        """Map one source-plane toggle ``site`` into the sink's frame.
 
-        ``f`` is the sink's face.  A site is kept only if its coordinates
-        off the face's axis lie in the source's commit cross-section and,
-        shifted into the sink's rounds, inside the sink's commit box; the
-        rest of the source's plane runs through its other buffers, whose
-        chains are not this sink's.  The site lands on the sink's face
-        layer.
+        ``f`` is the sink's face and ``box`` the sink's commit box.  A site
+        is kept only if its coordinates off the face's axis lie in the
+        source's commit cross-section and, shifted into the sink's rounds,
+        inside the sink's commit box; the rest of the source's plane runs
+        through its other buffers, whose chains are not this sink's.  The
+        site lands on the sink's face layer.
         """
-        site = list(src.graph.node_coords(nid))
-        box = dst.graph.commit_hi
+        site = list(site)
         side = f.side
         if side.axis != T:
-            if not 0 <= site[T] < src.graph.commit_hi[T]:
+            if not 0 <= site[T] < src.rounds:
                 return None
             site[T] += src.t0 - dst.t0
         site[side.axis] = 0 if side.direction < 0 else box[side.axis] - 1
@@ -1012,32 +1011,16 @@ class _Engine:
 
     def _result(self) -> SimResult:
         runtime = max(e for e in self.exec_end if e is not None)
-        occ: list[tuple[int, int]] = []
-        for t, n in self.occupancy:
-            if occ and occ[-1][0] == t:
-                occ[-1] = (t, n)
-            else:
-                occ.append((t, n))
-        log = []
-        for p in self.patch_order:
-            for cell in self.pstate[p].cells:
-                log.append(
-                    CellRecord(
-                        patch=p,
-                        index=cell.index,
-                        t0=cell.t0,
-                        t1=cell.t1,
-                        gen_round=cell.gen_time,
-                        first_start=cell.first_start,
-                        verified_round=cell.verified_at,
-                        attempts=cell.attempts,
-                    )
-                )
+        log = [
+            CellRecord(p, c.index, c.t0, c.t1, c.gen_time, c.first_start, c.verified_at, c.attempts)
+            for p in self.patch_order
+            for c in self.pstate[p].cells
+        ]
         return SimResult(
             runtime_rounds=runtime,
             reactions=sorted(self.reactions),
             timeline=sorted(self.timeline, key=lambda s: (s.start, s.instruction)),
-            occupancy=occ,
+            occupancy=self.occupancy,
             valid_compute=self.valid,
             wasted_compute=self.wasted,
             mispredictions=self.mispredictions,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding_graph import BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
-from .decoding_graph import build_window_graph, check_distance
+from .decoding_graph import build_window_graph, check_distance, check_whole, is_real
 from .matching import crossing_site, dependency_bits
 # Not called here: specbench/tracing.py rebinds these names.
 from .matching import decode, extract_dependency_bits  # noqa: F401
@@ -216,10 +216,9 @@ PREDICTORS = {
 
 def check_eval_args(d: int, p: float, shots: int) -> None:
     """Raise ValueError unless ``evaluate_predictors(d, p, shots)`` can run."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if not 0 <= p <= 1:
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    check_whole("shots", shots, 1)
+    if not (is_real(p) and 0 <= p <= 1):
+        raise ValueError(f"p must be a number in [0, 1], got {p!r}")
     check_distance(d)
 
 

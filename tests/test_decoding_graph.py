@@ -61,6 +61,15 @@ def test_rejects_bad_buffers():
         build_window_graph(5, 5, [("temporal", "future"), ("temporal", "future")])
     with pytest.raises(ValueError):
         build_window_graph(5, 5, [("temporal", "sideways")])
+    # Whole numbers only: a float distance or round count would fail later
+    # as a TypeError deep in numpy.
+    for bad in (2.5, 5.0, True, "5", 0):
+        with pytest.raises(ValueError, match="commit_rounds"):
+            build_window_graph(5, bad, [])
+    for bad in (13.0, True, "5", 4, 1):
+        with pytest.raises(ValueError, match="d must"):
+            build_window_graph(bad, 5, [])
+    assert build_window_graph(np.int64(5), np.int64(5), []).node_count == 5 * 4 * 3
 
 
 @pytest.mark.parametrize(

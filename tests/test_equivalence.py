@@ -172,7 +172,8 @@ def exact_reference(g, lit, cap):
 
 
 def project_reference(f, src, dst, nid):
-    """``_Engine._project`` written with one branch per axis of the face."""
+    """``_Engine._project`` written with one branch per axis of the face, on
+    a node id of the source's window graph ``src.graph``."""
     t, r, c = src.graph.node_coords(nid)
     box = dst.graph.commit_hi
     side = f.side
@@ -271,7 +272,7 @@ def projection(draw):
     src_g = sided_graph(d, draw(st.integers(1, d)), (side.mirror, *sorted(others)))
     dst_g = sided_graph(d, draw(st.integers(1, d)), ())
     t0 = draw(st.integers(0, 2 * d))
-    src = SimpleNamespace(graph=src_g, t0=t0)
+    src = SimpleNamespace(graph=src_g, t0=t0, rounds=src_g.commit_hi[T])
     dst = SimpleNamespace(graph=dst_g, t0=t0 + draw(st.integers(-d - 1, d + 1)))
     lo = draw(st.sampled_from((src_g.lo, (0, 0, 0))))
     hi = src_g.hi if lo is src_g.lo else src_g.commit_hi
@@ -401,7 +402,9 @@ def test_project_matches_per_axis_reference(case):
     """On all six faces, any round offset between source and sink and cells
     1..d rounds high: the same site lands on the same sink node, and the
     same sites are dropped."""
-    assert _Engine._project(*case) == project_reference(*case)
+    f, src, dst, nid = case
+    site = src.graph.node_coords(nid)
+    assert _Engine._project(f, src, dst, dst.graph.commit_hi, site) == project_reference(*case)
 
 
 @pytest.mark.parametrize("k", range(len(FACE_SETS)))

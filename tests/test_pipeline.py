@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specwin import pipeline
-from specwin.decoding_graph import Syndrome
+from specwin.decoding_graph import Syndrome, build_window_graph
 from specwin.matching import decode, extract_dependency_bits
 from specwin.pipeline import (
     RECOVERY_STRATEGIES,
@@ -174,11 +175,33 @@ def test_config_validation():
                 SimConfig(**{name: bad}).validate()
     SimConfig().validate()
     SimConfig(seed=2**40, processors=3).validate()
+    SimConfig(seed=np.int64(7), processors=np.int64(2)).validate()
     SimConfig(accuracy=1, accuracy_adjacent=0, noise_p=0).validate()
     SimConfig(
         accuracy=np.float32(0.9), accuracy_adjacent=np.int64(0), noise_p=np.float32(1e-3)
     ).validate()
     SimConfig(accuracy=np.int64(1), accuracy_adjacent=np.float32(0.5), noise_p=np.int64(0)).validate()
+    # Latency models check their own fields: a fractional or bool round
+    # count, a non-number rate or a spec string in place of a model fails
+    # with the field's name, instead of running truncated or crashing.
+    for bad in (2.7, True, 0, float("inf"), "2", None):
+        with pytest.raises(ValueError, match="rounds"):
+            LatencyModel(kind="fixed", rounds=bad).validate(3)
+        with pytest.raises(ValueError, match="rounds"):
+            LatencyModel.fixed(bad)
+    for bad in ("2", True, np.bool_(True), None, 0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rate"):
+            LatencyModel(kind="linear", rate=bad).validate(3)
+        with pytest.raises(ValueError, match="rate"):
+            LatencyModel.linear(bad)
+    with pytest.raises(ValueError, match="latency"):
+        SimConfig(latency="fixed:4").validate()
+    for good in (4, 4.0, np.int64(4)):
+        LatencyModel(kind="fixed", rounds=good).validate(3)
+        assert LatencyModel.fixed(good).rounds == 4
+    for good in (2, 0.5, np.float32(0.5), np.int64(2)):
+        LatencyModel(kind="linear", rate=good).validate(3)
+        SimConfig(latency=LatencyModel.linear(good)).validate(3)
 
 
 # -- verification timing ----------------------------------------------------
@@ -630,7 +653,7 @@ def _two_buffer_source():
             Instruction(InstructionKind.MERGE_ZZ, [(0, 0), (1, 0)], 2, 11),
         ],
     )
-    # Integrated mode builds every cell's window graph when it verifies.
+    # The engine keeps no window graph; the tests rebuild the ones they need.
     engine = _Engine(prog, SimConfig(stall_blocking=False, speculation="integrated", noise_p=0.0))
     engine.run()
     src = engine.cells[0]
@@ -640,6 +663,13 @@ def _two_buffer_source():
     assert (dst.patch, dst.t0, dst.t1) == ((1, 0), 1, 4)
     back = next(g for g in dst.sinks if g.neighbor == src.id)
     return engine, src, dst, back
+
+
+def _window_graph(cell, d):
+    """The window graph integrated mode decodes ``cell`` on: one buffer per
+    source side."""
+    sides = dict.fromkeys(f.side.pair for f in cell.sources)
+    return build_window_graph(d, cell.rounds, list(sides))
 
 
 def _plane(g, side):
@@ -670,7 +700,8 @@ def _crossing(side, t, d, rounds):
 
 def test_injected_crossing_chain_toggles_matching_sink_node():
     engine, src, dst, back = _two_buffer_source()
-    side, d, g = back.side.mirror, engine.d, src.graph
+    side, d = back.side.mirror, engine.d
+    g, box = _window_graph(src, d), _window_graph(dst, d).commit_hi
     plane = _plane(g, side)
     t_global = max(src.t0, dst.t0)
     inner, outer = _crossing(side, t_global - src.t0, d, src.rounds)
@@ -681,12 +712,12 @@ def test_injected_crossing_chain_toggles_matching_sink_node():
     # layer: same round and same coordinate along the face.
     rows, cols = d - 1, (d + 1) // 2
     want = (t_global - dst.t0, outer[1] % rows, outer[2] % cols)
-    assert engine._project(back, src, dst, site) == want
+    assert engine._project(back, src, dst, box, g.node_coords(site)) == want
 
 
 def test_chain_in_sources_other_buffer_is_dropped():
     engine, src, dst, back = _two_buffer_source()
-    d, g, rounds = engine.d, src.graph, src.rounds
+    d, g, rounds = engine.d, _window_graph(src, engine.d), src.rounds
     spatial = back.side.mirror
     # Across the spatial plane, but in the first round of the source's future
     # buffer: that round is inside the sink's commit, yet the crossing edge
@@ -695,7 +726,8 @@ def test_chain_in_sources_other_buffer_is_dropped():
     inner, outer = _crossing(spatial, rounds, d, rounds)
     assert 0 <= src.t0 + rounds - dst.t0 < dst.rounds
     (site,) = _chain_toggles(g, plane, inner, outer)
-    assert engine._project(back, src, dst, site) is None
+    box = _window_graph(dst, d).commit_hi
+    assert engine._project(back, src, dst, box, g.node_coords(site)) is None
     # Across the future plane, but in the columns or rows of the spatial buffer.
     later = engine.cells[next(f.neighbor for f in src.sources if f.side is Side.FUTURE)]
     past = next(f for f in later.sinks if f.neighbor == src.id)
@@ -706,7 +738,8 @@ def test_chain_in_sources_other_buffer_is_dropped():
     inner[spatial.axis] = far
     inner, outer = tuple(inner), (inner[T] + 1, *inner[1:])
     (site,) = _chain_toggles(g, plane, inner, outer)
-    assert engine._project(past, src, later, site) is None
+    box = _window_graph(later, d).commit_hi
+    assert engine._project(past, src, later, box, g.node_coords(site)) is None
 
 
 # -- faces and references ----------------------------------------------------
@@ -809,15 +842,18 @@ def test_faces_on_one_side_are_judged_by_their_neighbours_rounds(monkeypatch):
         engine = _Engine(prog, cfg)
         judge = engine._by_decoding
         judged, predicted = {}, {}
+        judging = []
 
         def record(cell, consumed):
+            judging[:] = [cell]
             judged[cell.id] = judge(cell, consumed)
             return judged[cell.id]
 
         def predict(view):
-            # Keyed by graph: each verified cell builds its own.
+            # Keyed by the cell being judged, in its window frame, as truth is.
             prediction = predict_3step(view)
-            predicted[view.g, view.plane.side] = prediction.bits.sites
+            sites = frozenset(map(view.g.node_coords, prediction.bits.sites))
+            predicted[judging[0].id, view.plane.side] = sites
             return prediction
 
         engine._by_decoding = record
@@ -827,9 +863,9 @@ def test_faces_on_one_side_are_judged_by_their_neighbours_rounds(monkeypatch):
             faces = west_sources(cell)
             if len(faces) != 2 or cell.spec_time is None:
                 continue
-            pred = predicted[cell.graph, Side.WEST]
-            truth = cell.truth[Side.WEST].sites
-            rounds = [cell.t0 + cell.graph.node_coords(site)[0] for site in pred ^ truth]
+            pred = predicted[cell.id, Side.WEST]
+            truth = cell.truth[Side.WEST]
+            rounds = [cell.t0 + site[T] for site in pred ^ truth]
             hit = []
             for f in faces:
                 nbr = engine.cells[f.neighbor]
@@ -879,6 +915,27 @@ def test_runs_leave_no_reference_cycles():
             assert gc.collect() == 0, (name, cfg)
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("name", BUILTIN_PROGRAMS)
+def test_integrated_mode_keeps_one_window_graph_at_a_time(name, strategy, monkeypatch):
+    """A cell's window graph is freed once the cell is judged: when the
+    engine builds a graph, no earlier one is still alive, so memory does not
+    grow with the run's length."""
+    refs, peak = [], [0]
+
+    def build(*args):
+        g = build_window_graph(*args)
+        refs.append(weakref.ref(g))
+        peak[0] = max(peak[0], sum(r() is not None for r in refs))
+        return g
+
+    monkeypatch.setattr(pipeline, "build_window_graph", build)
+    cfg = SimConfig(strategy=strategy, speculation="integrated", latency=LatencyModel.fixed(2))
+    res = simulate(builtin_program(name, 3), cfg)
+    assert len(refs) == len(res.cell_log) > 1
+    assert peak[0] == 1
 
 
 @pytest.mark.parametrize("enabled", [True, False])

@@ -18,6 +18,7 @@ from specwin.predictor import (
     PREDICTORS,
     Prediction,
     boundary_view,
+    check_eval_args,
     classify,
     evaluate_predictors,
     predict_1step,
@@ -173,6 +174,35 @@ def test_evaluate_predictors_rows():
     lines = fh.getvalue().strip().splitlines()
     assert lines[0] == "d,p,predictor,shots,accuracy,fp_rate,fn_rate"
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize(
+    "args,name",
+    [
+        ((13.0, 1e-3, 2), "d"),
+        ((True, 1e-3, 2), "d"),
+        ((13, 1e-3, 2.5), "shots"),
+        ((13, 1e-3, 0), "shots"),
+        ((13, 1e-3, True), "shots"),
+        ((13, "x", 5), "p"),
+        ((13, None, 5), "p"),
+        ((13, True, 5), "p"),
+        ((13, 1.5, 5), "p"),
+    ],
+)
+def test_eval_args_are_checked_up_front(args, name):
+    """A float distance or shot count and a non-number error rate fail the
+    up-front check with the argument's name, not later as a TypeError."""
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        check_eval_args(*args)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        evaluate_predictors(*args)
+
+
+def test_eval_args_accept_numpy_numbers():
+    check_eval_args(np.int64(13), np.float32(1e-3), np.int64(5))
+    rows = evaluate_predictors(np.int64(3), np.float64(0.01), np.int64(2))
+    assert [r["shots"] for r in rows] == [2, 2, 2]
 
 
 def test_zero_noise_always_correct():
