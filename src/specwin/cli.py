@@ -30,8 +30,8 @@ from .predictor import check_eval_args, evaluate_predictors, write_accuracy_csv
 from .program import (
     BUILTIN_PROGRAMS,
     Program,
-    ProgramError,
     builtin_program,
+    check_whole,
     parse_program,
 )
 from .render import trace_svg, write_trace_csv
@@ -96,13 +96,8 @@ def _load_program(args: argparse.Namespace) -> Program:
     if args.program_file:
         with open(args.program_file) as fh:
             return parse_program(json.load(fh))
-    params = {}
-    if args.count is not None:
-        params["count"] = args.count
-    try:
-        return builtin_program(args.builtin, args.d, **params)
-    except TypeError as exc:
-        raise ProgramError(str(exc)) from exc
+    params = {} if args.count is None else {"count": args.count}
+    return builtin_program(args.builtin, args.d, **params)
 
 
 def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
@@ -215,8 +210,7 @@ def cmd_predictor_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_recovery_eval(args: argparse.Namespace) -> int:
-    if args.shots < 1:
-        raise ValueError(f"--shots must be >= 1, got {args.shots}")
+    check_whole("--shots", args.shots, 1)
     program = _load_program(args)
     # The recovery scope only acts on mispredictions, and the 'auto' pool
     # probe runs with perfect speculation, so one config per seed serves all.
@@ -304,7 +298,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ProgramError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # a ProgramError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,11 @@ side's ``axis`` (T, ROW or COL) indexes either.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from .program import check_distance, check_whole
 from .windowing import COL, Side
 
 __all__ = [
@@ -32,30 +32,11 @@ __all__ = [
     "BoundaryPlane",
     "DependencyBits",
     "build_window_graph",
-    "check_distance",
 ]
 
 # Virtual boundary node ids.
 WEST = -1
 EAST = -2
-
-
-def is_real(v) -> bool:
-    """Whether ``v`` is a real number, numpy scalars included; a bool is not."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def check_whole(name: str, v, least: int) -> None:
-    """Raise ValueError unless ``v`` is an int (numpy's too) >= ``least``."""
-    if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < least:
-        raise ValueError(f"{name} must be a whole number >= {least}, got {v!r}")
-
-
-def check_distance(d: int) -> None:
-    """Raise ValueError unless ``d`` is an odd code distance >= 3."""
-    check_whole("d", d, 3)
-    if d % 2 == 0:
-        raise ValueError(f"d must be odd and >= 3, got {d}")
 
 
 @dataclass(frozen=True)
@@ -99,9 +80,8 @@ class DecodingGraph:
     """Matching graph for one decoding window."""
 
     def __init__(self, d: int, commit_rounds: int, buffer_spec):
-        check_distance(d)
-        check_whole("commit_rounds", commit_rounds, 1)
-        self.d = d
+        d = self.d = check_distance("d", d)
+        commit_rounds = check_whole("commit_rounds", commit_rounds, 1)
         self.sides = [Side.from_pair(b) for b in buffer_spec]
         if len(set(self.sides)) < len(self.sides):
             raise ValueError(f"duplicate buffer face in {list(buffer_spec)!r}")

@@ -20,7 +20,6 @@ import gc
 import heapq
 import json
 import math
-import numbers
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
@@ -30,12 +29,12 @@ from typing import Any
 
 import numpy as np
 
-from .decoding_graph import Syndrome, build_window_graph, check_whole, is_real
+from .decoding_graph import Syndrome, build_window_graph
 from .matching import dependency_bits
 # Not called here: specbench/tracing.py rebinds these names.
 from .matching import decode, extract_dependency_bits  # noqa: F401
 from .predictor import boundary_view, predict_3step
-from .program import Instruction, Program, ProgramError, validate
+from .program import Instruction, Program, ProgramError, check_real, check_whole, validate
 from .windowing import MAX_TASK_UNITS, STRATEGIES, T, Face, Side, WindowCell
 from .windowing import aligned_phases, owns_face
 
@@ -143,52 +142,39 @@ class LatencyModel:
 
     @classmethod
     def empirical(cls, buckets: dict[int, list[int]]) -> "LatencyModel":
-        # Keys may be text, as in JSON; ``validate`` checks the rest.
+        # Keys may be decimal text, as in JSON; ``validate`` checks the rest.
         if isinstance(buckets, dict):
-            buckets = {int(k): v for k, v in buckets.items()}
+            buckets = {int(k) if str(k).isdecimal() else k: v for k, v in buckets.items()}
         return cls(kind="empirical", buckets=buckets)
 
     def validate(self, d: int | None = None) -> None:
         """Raise ValueError unless the model can run; given the code
         distance ``d``, also unless the largest task a cell can take lasts
-        a finite number of rounds."""
+        a finite number of rounds.  Stores whole numbers back as ints."""
         if self.kind not in ("fixed", "linear", "empirical"):
             raise ValueError(f"unknown latency kind {self.kind!r}")
-        if self.kind == "fixed" and not _whole_rounds(self.rounds):
-            raise ValueError(f"fixed latency rounds must be whole and >= 1, got {self.rounds!r}")
-        if self.kind == "linear" and not (is_real(self.rate) and 0 < self.rate < math.inf):
-            raise ValueError(f"linear latency rate must be positive and finite, got {self.rate!r}")
-        if self.kind == "linear" and d is not None and not math.isfinite(
-            self.rate * MAX_TASK_UNITS * d
-        ):
-            raise ValueError(
-                f"linear latency rate {self.rate!r} overflows the largest task "
-                f"({MAX_TASK_UNITS} d^3 units) at d={d}"
-            )
+        if self.kind == "fixed":
+            self.rounds = check_whole("fixed latency rounds", self.rounds, 1)
+        if self.kind == "linear":
+            rate = check_real("linear latency rate", self.rate)
+            if not 0 < rate < math.inf:
+                raise ValueError(f"linear latency rate must be positive and finite, got {rate!r}")
+            # decode_latency multiplies in the rate's own type: a numpy
+            # float32 overflows at its own largest value.
+            own = np.finfo(self.rate).max if isinstance(self.rate, np.floating) else math.inf
+            if d is not None and not rate * MAX_TASK_UNITS * d < float(own):
+                raise ValueError(f"linear rate {self.rate!r} overflows the largest task at d={d}")
         if self.kind == "empirical":
             if not isinstance(self.buckets, dict) or not self.buckets:
                 raise ValueError("empirical latency needs an object of size: [rounds] buckets")
+            buckets = {}
             for k, b in self.buckets.items():
-                ok = isinstance(b, list) and b and all(map(_whole_rounds, b))
-                if not (ok and _whole_rounds(k)):
-                    raise ValueError(
-                        f"empirical latency bucket {k!r} needs a task size >= 1 and a "
-                        f"non-empty list of whole rounds >= 1, got {b!r}"
-                    )
-
-
-def _whole_rounds(v) -> bool:
-    """Whether ``v`` is a whole number >= 1, numpy integers included; a bool is not."""
-    return is_real(v) and (isinstance(v, numbers.Integral) or float(v).is_integer()) and v >= 1
-
-
-def _parse_rounds(text: str, d: int) -> int:
-    text = text.strip()
-    per_d = text.endswith("d")
-    rounds = float(text[:-1] or "1") * d - 1e-9 if per_d else float(text)
-    if not math.isfinite(rounds) or not (per_d or rounds.is_integer()):
-        raise ValueError(f"fixed latency takes whole rounds or a finite multiple of d, got {text!r}")
-    return math.ceil(rounds)
+                what = f"empirical latency bucket {k!r}"
+                if not isinstance(b, list) or not b:
+                    raise ValueError(f"{what} needs a non-empty list of rounds, got {b!r}")
+                size = check_whole(f"{what}: task size", k, 1)
+                buckets[size] = [check_whole(f"{what}: rounds", r, 1) for r in b]
+            self.buckets = buckets
 
 
 def parse_latency(text: str, d: int) -> LatencyModel:
@@ -196,14 +182,22 @@ def parse_latency(text: str, d: int) -> LatencyModel:
     kind, sep, arg = text.partition(":")
     if not sep:
         raise ValueError(f"latency spec {text!r} needs kind:argument")
-    if kind == "fixed":
-        return LatencyModel.fixed(_parse_rounds(arg, d))
-    if kind == "linear":
-        return LatencyModel.linear(float(arg))
     if kind == "empirical":
         with open(arg) as fh:
             return LatencyModel.empirical(json.load(fh))
-    raise ValueError(f"unknown latency kind {kind!r}")
+    if kind not in ("fixed", "linear"):
+        raise ValueError(f"unknown latency kind {kind!r}")
+    arg = arg.strip()
+    per_d = kind == "fixed" and arg.endswith("d")
+    try:
+        x = float(arg[:-1] or "1") if per_d else float(arg)
+    except ValueError:
+        raise ValueError(f"latency spec {text!r} needs a number, got {arg!r}") from None
+    if kind == "linear":
+        return LatencyModel.linear(x)
+    if per_d:  # rounds up; fixed() rejects a product that is not finite
+        x = math.ceil(x * d - 1e-9) if math.isfinite(x * d) else x
+    return LatencyModel.fixed(x)
 
 
 def decode_latency(task_units: float, d: int, model: LatencyModel, rng=None) -> int:
@@ -240,8 +234,8 @@ class SimConfig:
     noise_p: float = 1e-3
 
     def validate(self, d: int | None = None) -> None:
-        """Raise ValueError unless the config can run; ``d`` is the
-        program's code distance, which bounds the latency model."""
+        """Raise ValueError unless the config can run, and store whole numbers
+        back as ints; ``d`` is the code distance, which bounds the latency."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.speculation not in SPECULATION_MODES:
@@ -249,16 +243,13 @@ class SimConfig:
         if self.recovery not in RECOVERY_STRATEGIES:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         for name in ("accuracy", "accuracy_adjacent", "noise_p"):
-            x = getattr(self, name)
-            if not is_real(x):
-                raise ValueError(f"{name} must be a number, got {x!r}")
+            check_real(name, getattr(self, name))
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")
-        # Ints only, not bools or floats: the keyed draws would truncate a
-        # float seed without a word.
+        # Stored back as ints: the keyed draws hash the seed's value.
         if self.processors is not None:
-            check_whole("processors", self.processors, 1)
-        check_whole("seed", self.seed, 0)
+            self.processors = check_whole("processors", self.processors, 1)
+        self.seed = check_whole("seed", self.seed, 0)
         if not (0.0 <= self.noise_p < 1.0):
             raise ValueError("noise_p must be in [0, 1)")
         if not isinstance(self.latency, LatencyModel):
@@ -1038,8 +1029,6 @@ def simulate(program: Program, cfg: SimConfig | None = None) -> SimResult:
     diags = validate(program)
     if diags:
         raise ProgramError("; ".join(map(str, diags)))
-    if not program.instructions:
-        raise ProgramError("program has no instructions")
     # A run's cells, tasks and events live until it returns, so collections
     # during the run promote them and set off a full collection of the
     # interpreter's heap (several ms) every hundred-odd runs.  Runs make no

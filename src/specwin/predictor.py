@@ -33,10 +33,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decoding_graph import BoundaryPlane, DecodingGraph, DependencyBits, Syndrome
-from .decoding_graph import build_window_graph, check_distance, check_whole, is_real
+from .decoding_graph import build_window_graph
 from .matching import crossing_site, dependency_bits
 # Not called here: specbench/tracing.py rebinds these names.
 from .matching import decode, extract_dependency_bits  # noqa: F401
+from .program import check_distance, check_real, check_whole
 
 __all__ = [
     "BoundaryView",
@@ -214,12 +215,13 @@ PREDICTORS = {
 }
 
 
-def check_eval_args(d: int, p: float, shots: int) -> None:
-    """Raise ValueError unless ``evaluate_predictors(d, p, shots)`` can run."""
-    check_whole("shots", shots, 1)
-    if not (is_real(p) and 0 <= p <= 1):
+def check_eval_args(d: int, p: float, shots: int) -> tuple[int, float, int]:
+    """``(d, p, shots)`` with ``d`` and ``shots`` as ints; ValueError unless
+    ``evaluate_predictors(d, p, shots)`` can run."""
+    shots = check_whole("shots", shots, 1)
+    if not 0 <= check_real("p", p) <= 1:
         raise ValueError(f"p must be a number in [0, 1], got {p!r}")
-    check_distance(d)
+    return check_distance("d", d), p, shots
 
 
 def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dict]:
@@ -230,10 +232,10 @@ def evaluate_predictors(d: int, p: float, shots: int, seed: int = 0) -> list[dic
     every predictor on the same syndrome.  Rates are the fraction of shots
     with at least one false positive (resp. negative).
     """
-    check_eval_args(d, p, shots)
+    d, p, shots = check_eval_args(d, p, shots)
     g = build_window_graph(d, d, [("temporal", "future")])
     plane = g.planes[0]
-    rng = np.random.default_rng([seed, d])
+    rng = np.random.default_rng([check_whole("seed", seed, 0), d])
     correct = {name: 0 for name in PREDICTORS}
     fp_shots = {name: 0 for name in PREDICTORS}
     fn_shots = {name: 0 for name in PREDICTORS}

@@ -10,7 +10,9 @@ dependent conditional correction can be applied.
 """
 from __future__ import annotations
 
+import inspect
 import json
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
@@ -29,6 +31,9 @@ __all__ = [
     "validate",
     "builtin_program",
     "BUILTIN_PROGRAMS",
+    "check_whole",
+    "check_real",
+    "check_distance",
 ]
 
 PatchId = tuple[int, int]
@@ -75,14 +80,43 @@ MERGING_KINDS = frozenset(
 )
 
 
-def _whole(value, what: str) -> int:
-    """``value`` as an int; SchemaError unless it is a whole number (a bool
-    is not)."""
-    if type(value) is int:
-        return value
-    if type(value) is float and value.is_integer():
-        return int(value)
-    raise SchemaError(f"{what} must be a whole number, got {value!r}")
+# Every whole-number and real-number input of specwin goes through these two.
+
+
+def check_whole(name: str, v, least: int, error: type[ValueError] = ValueError) -> int:
+    """``v`` as an int, or ``error`` naming ``name`` unless it is a whole
+    number >= ``least``: an int, a numpy integer or a float with no
+    fractional part, but not a bool."""
+    if type(v) is int:
+        n = v
+    elif isinstance(v, numbers.Real) and not isinstance(v, bool) and float(v).is_integer():
+        n = int(v)
+    else:
+        n = None
+    if n is None or n < least:
+        raise error(f"{name} must be a whole number >= {least}, got {v!r}")
+    return n
+
+
+def check_real(name: str, v) -> float:
+    """``v`` as a float, or ValueError naming ``name`` unless it is an int or
+    a float, numpy's included, that a float can hold (not a bool).  NaN and
+    the infinities pass: callers bound the value themselves."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} must be a real number a float can hold, got {v!r}") from None
+
+
+def check_distance(name: str, d, error: type[ValueError] = ValueError) -> int:
+    """``d`` as an int, or ``error`` naming ``name`` unless it is an odd
+    code distance >= 3."""
+    d = check_whole(name, d, 3, error)
+    if d % 2 == 0:
+        raise error(f"{name} must be odd and >= 3, got {d}")
+    return d
 
 
 @dataclass(frozen=True)
@@ -109,20 +143,17 @@ class Instruction:
     def __post_init__(self):
         fix = partial(object.__setattr__, self)
         fix("kind", InstructionKind(self.kind))
-        fix("patches", tuple((_whole(r, "patch row"), _whole(c, "patch col"))
+        whole = partial(check_whole, error=SchemaError)
+        fix("patches", tuple((whole("patch row", r, 0), whole("patch col", c, 0))
                              for r, c in self.patches))
-        fix("start_round", _whole(self.start_round, "start_round"))
-        fix("duration", _whole(self.duration, "duration"))
+        fix("start_round", whole("start_round", self.start_round, 0))
+        fix("duration", whole("duration", self.duration, 1))
         if self.conditional_on is not None:
-            fix("conditional_on", _whole(self.conditional_on, "conditional_on"))
+            fix("conditional_on", whole("conditional_on", self.conditional_on, 0))
         if not self.patches:
             raise SchemaError("instruction requires at least one patch")
         if len(set(self.patches)) != len(self.patches):
             raise SchemaError(f"duplicate patches in {self.kind.value}")
-        if self.duration < 1:
-            raise SchemaError(f"duration must be >= 1, got {self.duration}")
-        if self.start_round < 0:
-            raise SchemaError(f"start_round must be >= 0, got {self.start_round}")
 
     @property
     def blocking(self) -> bool:
@@ -156,13 +187,10 @@ class Program:
     name: str = "program"
 
     def __post_init__(self):
-        self.distance = _whole(self.distance, "distance")
-        if self.distance < 3 or self.distance % 2 == 0:
-            raise SchemaError(f"distance must be odd and >= 3, got {self.distance}")
+        self.distance = check_distance("distance", self.distance, SchemaError)
         rows, cols = self.grid
-        self.grid = (_whole(rows, "grid rows"), _whole(cols, "grid cols"))
-        if rows < 1 or cols < 1:
-            raise SchemaError(f"grid must be at least 1x1, got {self.grid}")
+        self.grid = (check_whole("grid rows", rows, 1, SchemaError),
+                     check_whole("grid cols", cols, 1, SchemaError))
 
     @property
     def patches(self) -> list[PatchId]:
@@ -180,24 +208,24 @@ class Program:
 def validate(program: Program) -> list[ProgramError]:
     """Check program invariants and return a list of diagnostics.
 
-    An empty list means the program is valid.  Checks grid bounds
-    (SchemaError), spacetime exclusivity, i.e. no two instructions on the
-    same patch in the same round (OverlapError), and conditional reference
-    validity (ConditionalError).
+    An empty list means the program is valid.  Checks for instructions and
+    grid bounds (SchemaError), spacetime exclusivity, i.e. no two
+    instructions on the same patch in the same round (OverlapError), and
+    conditional reference validity (ConditionalError).
     """
     diags: list[ProgramError] = []
+    if not program.instructions:
+        diags.append(SchemaError("program has no instructions"))
     rows, cols = program.grid
+    # Spacetime exclusivity via per-patch interval sweep.
+    by_patch: dict[PatchId, list[tuple[int, int, int]]] = {}
     for i, inst in enumerate(program.instructions):
         for r, c in inst.patches:
             if not (0 <= r < rows and 0 <= c < cols):
                 diags.append(
                     SchemaError(f"instruction {i}: patch ({r},{c}) outside grid {program.grid}")
                 )
-    # Spacetime exclusivity via per-patch interval sweep.
-    by_patch: dict[PatchId, list[tuple[int, int, int]]] = {}
-    for i, inst in enumerate(program.instructions):
-        for p in inst.patches:
-            by_patch.setdefault(p, []).append((inst.start_round, inst.end_round, i))
+            by_patch.setdefault((r, c), []).append((inst.start_round, inst.end_round, i))
     for p, spans in by_patch.items():
         spans.sort()
         for (s0, e0, i0), (s1, e1, i1) in zip(spans, spans[1:]):
@@ -321,6 +349,7 @@ def _repeated_t(d: int, count: int = 10) -> Program:
     nominal period is 2d rounds per T (a leading idle and the post-S slack
     keep every teleportation ending on a window boundary).
     """
+    count = check_whole("count", count, 1, ProgramError)
     patch = (0, 0)
     instructions: list[Instruction] = [
         Instruction(InstructionKind.IDLE, (patch,), 0, d)
@@ -404,8 +433,9 @@ def _zigzag_chain(d: int, count: int = 100) -> Program:
     ``count`` is the total number of window cells and must be even and
     >= 4.
     """
-    if count < 4 or count % 2:
-        raise ProgramError(f"zigzag_chain needs an even count >= 4, got {count}")
+    count = check_whole("count", count, 4, ProgramError)
+    if count % 2:
+        raise ProgramError(f"count must be even and >= 4, got {count}")
     m = count // 2
     coords = [(i // 2, (i + 1) // 2) for i in range(m)]
     instructions = [Instruction(InstructionKind.IDLE, (coords[0],), 0, d)]
@@ -468,4 +498,8 @@ def builtin_program(name: str, d: int, **params) -> Program:
         raise ProgramError(
             f"unknown builtin {name!r}; available: {sorted(BUILTIN_PROGRAMS)}"
         ) from None
+    d = check_distance("d", d, ProgramError)
+    takes = list(inspect.signature(builder).parameters)[1:]
+    if unknown := sorted(params.keys() - set(takes)):
+        raise ProgramError(f"builtin {name!r} takes no parameter {unknown[0]!r}; it takes {takes}")
     return _require_valid(builder(d, **params))

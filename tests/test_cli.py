@@ -208,6 +208,8 @@ BAD_FILES = {
     "empty_bucket.json": {"1": []},
     "rounds_below_one.json": {"1": [-3, 0]},
     "size_below_one.json": {"0": [4]},
+    "empty_program.json": _program_json(instructions=[]),
+    "fractional_size.json": {"1.5": [4]},
 }
 
 
@@ -231,6 +233,12 @@ BAD_FILES = {
         ["run", "--d", "3", "--latency", "empirical:@empty_bucket.json"],
         ["run", "--d", "3", "--latency", "empirical:@rounds_below_one.json"],
         ["run", "--d", "3", "--latency", "empirical:@size_below_one.json"],
+        ["sweep-latency", "--program-file", "@empty_program.json", "fixed:4"],
+        ["recovery-eval", "--program-file", "@empty_program.json"],
+        ["run", "--d", "3", "--count", "-3"],
+        ["run", "--builtin", "msd_15to1", "--d", "3", "--count", "3"],
+        ["run", "--d", "3", "--latency", "empirical:@fractional_size.json"],
+        ["sweep-latency", "--d", "3", "fixed:4", "linear:abc"],
     ],
 )
 def test_bad_input_fails_before_anything_runs(argv, monkeypatch, capsys, tmp_path):
@@ -275,6 +283,28 @@ def test_processors_rejects_a_non_number(capsys):
     assert captured.err == (
         "error: --processors takes a number, 'auto' or 'unlimited', got 'abc'\n"
     )
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ("fixed:abc", "latency spec 'fixed:abc' needs a number, got 'abc'"),
+        ("fixed:xd", "latency spec 'fixed:xd' needs a number, got 'xd'"),
+        ("linear:abc", "latency spec 'linear:abc' needs a number, got 'abc'"),
+        (
+            "empirical:@fractional_size.json",
+            "empirical latency bucket '1.5': task size must be a whole number >= 1, got '1.5'",
+        ),
+    ],
+    ids=["fixed", "fixed-per-d", "linear", "empirical"],
+)
+def test_latency_specs_name_themselves(spec, message, capsys, tmp_path):
+    (tmp_path / "fractional_size.json").write_text(json.dumps(BAD_FILES["fractional_size.json"]))
+    rc = main(["run", "--d", "3", "--latency", spec.replace("@", f"{tmp_path}/")])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_recovery_eval_table_matches_serial_runs(capsys):

@@ -61,15 +61,19 @@ def test_rejects_bad_buffers():
         build_window_graph(5, 5, [("temporal", "future"), ("temporal", "future")])
     with pytest.raises(ValueError):
         build_window_graph(5, 5, [("temporal", "sideways")])
-    # Whole numbers only: a float distance or round count would fail later
-    # as a TypeError deep in numpy.
-    for bad in (2.5, 5.0, True, "5", 0):
+    # Whole numbers only: a fractional distance or round count would fail
+    # later as a TypeError deep in numpy.
+    for bad in (2.5, True, "5", 0):
         with pytest.raises(ValueError, match="commit_rounds"):
             build_window_graph(5, bad, [])
-    for bad in (13.0, True, "5", 4, 1):
+    for bad in (13.5, True, "5", 4, 1):
         with pytest.raises(ValueError, match="d must"):
             build_window_graph(bad, 5, [])
-    assert build_window_graph(np.int64(5), np.int64(5), []).node_count == 5 * 4 * 3
+    # Numpy integers and whole floats build the int graph.
+    for d, rounds in ((np.int64(5), np.int64(5)), (5.0, 5.0)):
+        g = build_window_graph(d, rounds, [("temporal", "future")])
+        assert type(g.d) is int and g.commit_hi[0] == 5 and type(g.commit_hi[0]) is int
+        assert g.node_count == 10 * 4 * 3
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pickle
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -159,12 +160,12 @@ def test_config_validation():
         SimConfig(accuracy=0.5, accuracy_adjacent=0.6).validate()
     with pytest.raises(ValueError):
         SimConfig(processors=0).validate()
-    # Seeds and pool sizes are whole ints: a float seed would run as its
-    # truncation.
-    for bad in (1.5, 1.0, True, "3", -1, None):
+    # Seeds and pool sizes are whole numbers: a fractional seed would run as
+    # its truncation.
+    for bad in (1.5, True, "3", -1, None):
         with pytest.raises(ValueError, match="seed"):
             SimConfig(seed=bad).validate()
-    for bad in (2.5, 2.0, True, "2", 0):
+    for bad in (2.5, True, "2", 0):
         with pytest.raises(ValueError, match="processors"):
             SimConfig(processors=bad).validate()
     # Probabilities are real numbers, numpy scalars included; a bool or a
@@ -197,11 +198,45 @@ def test_config_validation():
     with pytest.raises(ValueError, match="latency"):
         SimConfig(latency="fixed:4").validate()
     for good in (4, 4.0, np.int64(4)):
-        LatencyModel(kind="fixed", rounds=good).validate(3)
+        model = LatencyModel(kind="fixed", rounds=good)
+        model.validate(3)
+        assert type(model.rounds) is int and model.rounds == 4
         assert LatencyModel.fixed(good).rounds == 4
     for good in (2, 0.5, np.float32(0.5), np.int64(2)):
         LatencyModel(kind="linear", rate=good).validate(3)
         SimConfig(latency=LatencyModel.linear(good)).validate(3)
+    # A rate whose largest task overflows, in a Python float or in the
+    # rate's own numpy type, fails with the rate's name and no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (10**400, np.float32(3e38), np.float64(1e308)):
+            with pytest.raises(ValueError, match="rate"):
+                LatencyModel(kind="linear", rate=bad).validate(3)
+            with pytest.raises(ValueError, match="rate"):
+                cfg = SimConfig(latency=LatencyModel(kind="linear", rate=bad))
+                simulate(idle_program(3, 6), cfg)
+        LatencyModel(kind="linear", rate=np.float32(1e36)).validate(3)
+
+
+def test_whole_floats_and_numpy_ints_run_as_their_ints():
+    """A seed, a pool size or a latency given as a whole float or a numpy
+    integer runs bit-identical to its int, and is stored back as the int."""
+    program = builtin_program("zigzag_chain", 3, count=10)
+
+    def run(seed, processors, rounds):
+        cfg = SimConfig(
+            speculation="stochastic",
+            seed=seed,
+            processors=processors,
+            latency=LatencyModel(kind="fixed", rounds=rounds),
+        )
+        result = simulate(program, cfg).to_json()
+        assert (type(cfg.seed), type(cfg.processors), type(cfg.latency.rounds)) == (int,) * 3
+        return result
+
+    want = run(1, 2, 4)
+    assert run(1.0, 2.0, 4.0) == want
+    assert run(np.int64(1), np.int64(2), np.int64(4)) == want
 
 
 # -- verification timing ----------------------------------------------------
@@ -299,6 +334,48 @@ def test_stall_can_be_disabled():
     )
     check_timeline(prog, stalled)
     check_timeline(prog, free)
+
+
+# -- backlog -----------------------------------------------------------------
+
+BACKLOG_COUNTS = (5, 10, 15, 20)
+
+
+def _runtime_steps(d: int, strategy: str, rate: float) -> list[int]:
+    """Rounds each five more T gates of ``repeated_t`` add to the runtime."""
+    cfg = SimConfig(strategy=strategy, latency=LatencyModel.linear(rate))
+    runtimes = [
+        simulate(builtin_program("repeated_t", d, count=n), cfg).runtime_rounds
+        for n in BACKLOG_COUNTS
+    ]
+    return [b - a for a, b in zip(runtimes, runtimes[1:])]
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_sliding_backlog_threshold(d):
+    """One sliding window at a time keeps up with the data only while a
+    decode lasts no longer than the rounds its cell covers.
+
+    A steady-state sliding cell covers ``rounds`` rounds and decodes
+    ``task_units`` d^3 units, which take rate * task_units * d rounds, so
+    the backlog threshold is r* = rounds / (task_units * d).  Just below it
+    the runtime is linear in the gate count; just above it every five gates
+    add more than twice the rounds the five before did.  Parallel windows
+    stay linear far above it.
+    """
+    eng = _Engine(builtin_program("repeated_t", d, count=4), SimConfig(strategy="sliding"))
+    eng.run()
+    cell = eng.cells[len(eng.cells) // 2]
+    assert (cell.rounds, len(cell.sources), len(cell.sinks)) == (d, 1, 1)
+    r_star = cell.rounds / (cell.task_units(d) * d)
+    assert r_star == 0.5
+
+    steps = _runtime_steps(d, "sliding", r_star)
+    assert len(set(steps)) == 1, steps
+    steps = _runtime_steps(d, "sliding", 1.1 * r_star)
+    assert all(b > 2 * a for a, b in zip(steps, steps[1:])), steps
+    steps = _runtime_steps(d, "parallel", 2.0)
+    assert len(set(steps)) == 1, steps
 
 
 # -- speculation baselines ---------------------------------------------------

@@ -179,7 +179,7 @@ def test_evaluate_predictors_rows():
 @pytest.mark.parametrize(
     "args,name",
     [
-        ((13.0, 1e-3, 2), "d"),
+        ((13.5, 1e-3, 2), "d"),
         ((True, 1e-3, 2), "d"),
         ((13, 1e-3, 2.5), "shots"),
         ((13, 1e-3, 0), "shots"),
@@ -203,6 +203,20 @@ def test_eval_args_accept_numpy_numbers():
     check_eval_args(np.int64(13), np.float32(1e-3), np.int64(5))
     rows = evaluate_predictors(np.int64(3), np.float64(0.01), np.int64(2))
     assert [r["shots"] for r in rows] == [2, 2, 2]
+
+
+def test_whole_floats_and_numpy_ints_evaluate_as_ints():
+    """``d``, ``shots`` and ``seed`` given as whole floats or numpy integers
+    give the rows of their ints, with ints in the rows."""
+    want = evaluate_predictors(3, 0.01, 4, seed=2)
+    assert check_eval_args(3.0, 0.01, 4.0) == (3, 0.01, 4)
+    for d, shots, seed in ((3.0, 4.0, 2.0), (np.int64(3), np.int64(4), np.int64(2))):
+        rows = evaluate_predictors(d, 0.01, shots, seed=seed)
+        assert rows == want
+        assert all(type(r["d"]) is int and type(r["shots"]) is int for r in rows)
+    for bad in (1.5, -1, True):
+        with pytest.raises(ValueError, match="^seed must"):
+            evaluate_predictors(3, 0.01, 4, seed=bad)
 
 
 def test_zero_noise_always_correct():

@@ -1,6 +1,7 @@
 """Program schema, validation, and builtin construction tests."""
 import json
 
+import numpy as np
 import pytest
 
 from specwin.program import (
@@ -9,6 +10,7 @@ from specwin.program import (
     InstructionKind,
     OverlapError,
     Program,
+    ProgramError,
     SchemaError,
     builtin_program,
     parse_program,
@@ -150,6 +152,51 @@ def test_accepts_whole_floats():
     back = parse_program(data)
     assert back.distance == 5 and type(back.distance) is int
     assert back.instructions == simple_program().instructions
+
+
+def test_accepts_numpy_integers():
+    inst = Instruction(InstructionKind.IDLE, [(np.int64(0), np.int32(1))], np.int64(2), np.int8(3))
+    assert inst == Instruction(InstructionKind.IDLE, ((0, 1),), 2, 3)
+    assert all(type(x) is int for x in (*inst.patches[0], inst.start_round, inst.duration))
+    prog = Program(np.int64(5), (np.int64(1), np.int64(2)), simple_program().instructions)
+    assert (prog.distance, prog.grid) == (5, (1, 2))
+    assert all(type(x) is int for x in (prog.distance, *prog.grid))
+
+
+def test_empty_program_is_invalid():
+    assert [str(e) for e in validate(Program(3, (1, 1)))] == ["program has no instructions"]
+    data = serialize_program(simple_program())
+    data["instructions"] = []
+    with pytest.raises(SchemaError, match="no instructions"):
+        parse_program(data)
+
+
+@pytest.mark.parametrize("d", [np.int64(5), 5.0])
+@pytest.mark.parametrize("name", ["repeated_t", "msd_15to1", "zigzag_chain", "toffoli"])
+def test_builtins_take_whole_numbers(name, d):
+    assert builtin_program(name, d) == builtin_program(name, 5)
+    if name in ("repeated_t", "zigzag_chain"):
+        assert builtin_program(name, 5, count=d + 1) == builtin_program(name, 5, count=6)
+
+
+@pytest.mark.parametrize(
+    "name,d,params,match",
+    [
+        ("repeated_t", 4, {}, "^d must be odd"),
+        ("repeated_t", 4.5, {}, "^d must be a whole number"),
+        ("toffoli", True, {}, "^d must be a whole number"),
+        ("repeated_t", 3, {"count": -3}, "^count must be a whole number >= 1"),
+        ("repeated_t", 3, {"count": 0}, "^count must be a whole number >= 1"),
+        ("repeated_t", 3, {"count": 2.5}, "^count must be a whole number"),
+        ("zigzag_chain", 3, {"count": 2}, "^count must be a whole number >= 4"),
+        ("zigzag_chain", 3, {"count": 7.0}, "^count must be even"),
+        ("msd_15to1", 3, {"count": 3}, "^builtin 'msd_15to1' takes no parameter 'count'"),
+        ("repeated_t", 3, {"size": 3}, "^builtin 'repeated_t' takes no parameter 'size'"),
+    ],
+)
+def test_builtin_arguments_are_checked(name, d, params, match):
+    with pytest.raises(ProgramError, match=match):
+        builtin_program(name, d, **params)
 
 
 @pytest.mark.parametrize("instructions", [5, "Idle", {"kind": "Idle"}, None])
