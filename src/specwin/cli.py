@@ -49,10 +49,8 @@ def _add_program_args(p: argparse.ArgumentParser) -> None:
         help="built-in benchmark circuit (default: %(default)s)",
     )
     src.add_argument("--program-file", help="JSON program description")
-    p.add_argument("--d", type=int, default=11, help="code distance (default: %(default)s)")
-    p.add_argument(
-        "--count", type=int, default=None, help="repetition count for builtins that take one"
-    )
+    p.add_argument("--d", default=11, help="code distance (default: %(default)s)")
+    p.add_argument("--count", default=None, help="repetition count for builtins that take one")
 
 
 def _add_sim_args(
@@ -78,12 +76,44 @@ def _add_sim_args(
             help="decoder pool size: a number, 'auto' (heuristic), or 'unlimited'",
         )
     p.add_argument("--noise-p", type=float, default=1e-3, help="integrated-mode error rate")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", default=0)
     p.add_argument(
         "--no-stall",
         action="store_true",
         help="let conditional gates start on schedule instead of waiting for decoding",
     )
+
+
+# Whole-number options and their least values.  argparse keeps them as text
+# and main() reads them with check_whole, so "3.0" means 3 here as it does
+# through the Python API.  --processors also takes 'auto' and 'unlimited'
+# and is read by _build_config.
+_WHOLE_OPTIONS = (("d", 3), ("count", 1), ("seed", 0), ("shots", 1))
+
+
+def _number(text):
+    """``text`` as an int, or else a float; anything that is not a string,
+    or names neither, comes back as it is."""
+    if not isinstance(text, str):
+        return text
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def _read_whole_options(args: argparse.Namespace) -> None:
+    for dest, least in _WHOLE_OPTIONS:
+        v = getattr(args, dest, None)
+        if v is None:
+            continue
+        option = f"--{dest}"
+        if isinstance(v, list):
+            setattr(args, dest, [check_whole(option, _number(t), least) for t in v])
+        else:
+            setattr(args, dest, check_whole(option, _number(v), least))
 
 
 def _with(args: argparse.Namespace, **over) -> argparse.Namespace:
@@ -115,12 +145,12 @@ def _build_config(args: argparse.Namespace, program: Program) -> SimConfig:
         noise_p=args.noise_p,
     )
     if args.processors not in ("auto", "unlimited"):
-        try:
-            cfg.processors = int(args.processors)
-        except ValueError:
+        n = _number(args.processors)
+        if isinstance(n, str):
             raise ValueError(
                 f"--processors takes a number, 'auto' or 'unlimited', got {args.processors!r}"
-            ) from None
+            )
+        cfg.processors = check_whole("--processors", n, 1)
     cfg.validate(program.distance)
     return cfg
 
@@ -210,7 +240,6 @@ def cmd_predictor_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_recovery_eval(args: argparse.Namespace) -> int:
-    check_whole("--shots", args.shots, 1)
     program = _load_program(args)
     # The recovery scope only acts on mispredictions, and the 'auto' pool
     # probe runs with perfect speculation, so one config per seed serves all.
@@ -272,17 +301,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_latency)
 
     p = sub.add_parser("predictor-eval", help="score dependency-bit predictors")
-    p.add_argument("--d", type=int, nargs="+", default=[13, 17, 21, 25])
+    p.add_argument("--d", nargs="+", default=[13, 17, 21, 25])
     p.add_argument("--p", type=float, default=1e-3, help="error rate per edge")
-    p.add_argument("--shots", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--shots", default=10000)
+    p.add_argument("--seed", default=0)
     p.add_argument("--out", help="write rates as CSV")
     p.set_defaults(func=cmd_predictor_eval)
 
     p = sub.add_parser("recovery-eval", help="wasted compute per recovery strategy")
     _add_program_args(p)
     _add_sim_args(p)
-    p.add_argument("--shots", type=int, default=100, help="seeds per strategy")
+    p.add_argument("--shots", default=100, help="seeds per strategy")
     p.set_defaults(func=cmd_recovery_eval)
 
     p = sub.add_parser("processors", help="size a decoder pool")
@@ -297,6 +326,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _read_whole_options(args)
         return args.func(args)
     except (ValueError, OSError) as exc:  # a ProgramError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,7 @@ import os
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import product
 from operator import attrgetter
 from typing import Any
 
@@ -60,6 +61,14 @@ RECOVERY_STRATEGIES = ("optimistic", "adjacent", "pessimistic")
 # Sub-stream tags for seeded RNG; every draw is keyed so results do not
 # depend on event interleaving.
 _COND, _SPEC, _LAT, _WIN = 1, 2, 3, 4
+
+# A stream is a draw key with its index word left out: the cell index of a
+# speculation draw, at this position of the ids, and the instruction index
+# of a conditional coin.  A draw at stream index _BLOCK_FROM or later
+# replays the stream's next _BLOCK indices in one vectorized step, which
+# costs about as much as 40 scalar replays whatever its length.
+_STREAM_POS = {_COND: 0, _SPEC: 2}
+_BLOCK_FROM, _BLOCK = 32, 1024
 
 # Event phases: completions verify before speculative bits published at
 # the same round become consumable.
@@ -111,6 +120,94 @@ def _first_double(pool: np.ndarray) -> float:
     rot = state >> 122
     x = (x >> rot | x << (64 - rot)) & _U64_MAX
     return (x >> 11) * (1.0 / 9007199254740992.0)
+
+
+# SeedSequence.mix_entropy's hash and mix constants (pool size 4), and the
+# PCG64 seeding multipliers as four 32-bit limbs, least significant first:
+# the two folded steps as state = init * MULT^2 + inc * (MULT^2 + MULT + 1).
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_M32 = np.uint64(_U32_MAX)
+_LIMB_MULTS = tuple(
+    tuple(np.uint64(m >> s & _U32_MAX) for s in (0, 32, 64, 96))
+    for m in (_PCG64_MULT2, (_PCG64_MULT2 + _PCG64_MULT1) & _U128_MAX)
+)
+
+
+def _hash_columns(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    xors, mults = zip(*pairs)
+    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = (v ^ xor) * mult
+    return v ^ v >> 16
+
+
+def _first_doubles(words: np.ndarray) -> np.ndarray:
+    """``np.random.default_rng(row).random()`` for every row of a (K, L)
+    uint32 key matrix.
+
+    The vectorized form of ``SeedSequence(row).pool`` followed by
+    ``_first_double``: ``mix_entropy`` into a pool of four words, then
+    ``generate_state``, PCG64 seeding with the 128-bit LCG as 32-bit limbs
+    in uint64 arrays, one XSL-RR output and the 53-bit double.  Arithmetic
+    runs on arrays only, where uint32 and uint64 products wrap silently.
+    """
+    n_rows, n_words = words.shape
+    xor, mult = _hash_columns(_hash_consts(*_MIX_HASH, 16 + 4 * max(n_words - 4, 0)))
+
+    # mix_entropy: hash the first four words (zeros past a short key) into
+    # the pool, mix every pool word into every other, then mix each further
+    # key word into all four.  One source word feeds its destinations in
+    # one vector step, since none of them is the source.
+    pool = np.zeros((4, n_rows), np.uint32)
+    pool[:n_words] = words[:, :4].T
+    pool = _hashmix(pool, xor[:4], mult[:4])
+    j = 4
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        h = _hashmix(pool[src], xor[j : j + 3], mult[j : j + 3])
+        r = pool[dst] * _MIX_L - h * _MIX_R
+        pool[dst] = r ^ r >> 16
+        j += 3
+    for src in range(4, n_words):
+        h = _hashmix(words[:, src], xor[j : j + 4], mult[j : j + 4])
+        r = pool * _MIX_L - h * _MIX_R
+        pool = r ^ r >> 16
+        j += 4
+
+    # generate_state(4, uint64), then PCG64's (initstate, initseq) as limbs.
+    xor, mult = _hash_columns(_STATE_HASH)
+    st = _hashmix(np.concatenate((pool, pool)), xor, mult).astype(np.uint64)
+    init = (st[2], st[3], st[0], st[1])
+    inc = (
+        (st[6] << np.uint64(1) | np.uint64(1)) & _M32,
+        (st[7] << np.uint64(1) | st[6] >> np.uint64(31)) & _M32,
+        (st[4] << np.uint64(1) | st[7] >> np.uint64(31)) & _M32,
+        (st[5] << np.uint64(1) | st[4] >> np.uint64(31)) & _M32,
+    )
+    # Column sums of the 32x32-bit limb products below 2^128, then carries.
+    cols = [np.zeros(n_rows, np.uint64) for _ in range(4)]
+    for limbs, m in zip((init, inc), _LIMB_MULTS):
+        for a in range(4):
+            for b in range(4 - a):
+                p = limbs[a] * m[b]
+                cols[a + b] += p & _M32
+                if a + b < 3:
+                    cols[a + b + 1] += p >> np.uint64(32)
+    state = []
+    carry = np.uint64(0)
+    for c in cols:
+        c = c + carry
+        state.append(c & _M32)
+        carry = c >> np.uint64(32)
+
+    # XSL-RR output and the 53-bit double.
+    x = (state[3] ^ state[1]) << np.uint64(32) | (state[2] ^ state[0])
+    rot = state[3] >> np.uint64(26)
+    x = x >> rot | x << ((np.uint64(64) - rot) & np.uint64(63))
+    return (x >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
 
 
 # -- latency models ---------------------------------------------------------
@@ -498,6 +595,7 @@ class _Engine:
         self.mispredictions = 0
         self.wrong_faces: set[tuple[int, int]] = set()  # (source id, sink id)
         self._need_sweep = False
+        self._ahead: dict[tuple, float] = {}  # (tag, *ids) -> replayed draw
 
     # -- rng streams --------------------------------------------------------
 
@@ -517,8 +615,38 @@ class _Engine:
         return np.random.default_rng(self._seed_seq(tag, *ids))
 
     def _uniform(self, tag: int, *ids: int) -> float:
-        """``self._rng(tag, *ids).random()``, without building the generator."""
+        """``self._rng(tag, *ids).random()``, without building the generator.
+
+        A draw far enough into a stream takes its value from, or starts, a
+        block replay of the stream; any other draw is replayed alone.
+        """
+        if self._ahead:
+            u = self._ahead.pop((tag, *ids), None)
+            if u is not None:
+                return u
+        pos = _STREAM_POS.get(tag)
+        if pos is not None and pos < len(ids) and ids[pos] >= _BLOCK_FROM:
+            u = self._replay_block(tag, ids, pos)
+            if u is not None:
+                return u
         return _first_double(self._seed_seq(tag, *ids).pool)
+
+    def _replay_block(self, tag: int, ids: tuple, pos: int) -> float | None:
+        """The draw of key ``[seed, tag, *ids]``, replayed with the next
+        ``_BLOCK - 1`` indices of its stream, which go to ``_ahead``; None
+        when a key word, or the block's last index, is not a uint32."""
+        key = [self.cfg.seed, tag, *ids]
+        n = ids[pos]
+        if min(key) < 0 or max(key) > _U32_MAX or n + _BLOCK - 1 > _U32_MAX:
+            return None
+        words = np.tile(np.array(key, np.uint32), (_BLOCK, 1))
+        words[:, pos + 2] = np.arange(n, n + _BLOCK, dtype=np.uint32)
+        draws = _first_doubles(words).tolist()
+        # The keys (tag, *ids) with the index running over the rest of the block.
+        factors = [(w,) for w in (tag, *ids)]
+        factors[pos + 1] = range(n + 1, n + _BLOCK)
+        self._ahead.update(zip(product(*factors), draws[1:]))
+        return draws[0]
 
     # -- event plumbing -----------------------------------------------------
 

@@ -307,6 +307,67 @@ def test_latency_specs_name_themselves(spec, message, capsys, tmp_path):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "whole,real",
+    [
+        (
+            ["run", "--d", "3", "--count", "2", "--seed", "1", "--processors", "2"],
+            ["run", "--d", "3.0", "--count", "2.0", "--seed", "1.0", "--processors", "2.0"],
+        ),
+        (
+            ["predictor-eval", "--d", "5", "7", "--shots", "5", "--seed", "2"],
+            ["predictor-eval", "--d", "5.0", "7", "--shots", "5.0", "--seed", "2.0"],
+        ),
+        (
+            ["recovery-eval", "--d", "3", "--count", "2", "--spec", "stochastic", "--shots", "2"],
+            ["recovery-eval", "--d", "3", "--count", "2", "--spec", "stochastic", "--shots", "2.0"],
+        ),
+    ],
+    ids=["run", "predictor-eval", "recovery-eval"],
+)
+def test_whole_number_options_accept_whole_floats(whole, real, capsys):
+    # The Python API takes 3.0 for 3; so does the command line.
+    assert main(whole) == 0
+    want = capsys.readouterr()
+    assert main(real) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["run", "--d", "3.5"], "--d must be a whole number >= 3, got 3.5"),
+        (["run", "--d", "3", "--count", "2.5"], "--count must be a whole number >= 1, got 2.5"),
+        (["run", "--d", "3", "--seed", "1.5"], "--seed must be a whole number >= 0, got 1.5"),
+        (["run", "--d", "3", "--seed", "nan"], "--seed must be a whole number >= 0, got nan"),
+        (
+            ["run", "--d", "3", "--processors", "2.5"],
+            "--processors must be a whole number >= 1, got 2.5",
+        ),
+        (["predictor-eval", "--d", "5", "5.5"], "--d must be a whole number >= 3, got 5.5"),
+        (
+            ["predictor-eval", "--d", "5", "--shots", "5.5"],
+            "--shots must be a whole number >= 1, got 5.5",
+        ),
+        (
+            ["recovery-eval", "--d", "3", "--shots", "abc"],
+            "--shots must be a whole number >= 1, got 'abc'",
+        ),
+    ],
+)
+def test_whole_number_options_name_themselves(argv, message, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before validating")
+
+    for name in ("simulate", "simulate_many", "processor_heuristic", "evaluate_predictors"):
+        monkeypatch.setattr(cli, name, no_run)
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_recovery_eval_table_matches_serial_runs(capsys):
     rc = main(
         [

@@ -1050,6 +1050,77 @@ def test_keyed_draws_match_default_rng(seed, tag, ids):
     assert got.integers(1 << 62, size=4).tolist() == want.integers(1 << 62, size=4).tolist()
 
 
+# Words at both ends of the uint32 range, and anything between.
+_EDGE_WORD = st.one_of(st.sampled_from([0, 2**32 - 1]), _WORD)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.lists(st.lists(_EDGE_WORD, min_size=n, max_size=n), min_size=1, max_size=12)
+    )
+)
+def test_block_replay_matches_default_rng(rows):
+    # Keys of one to eight words: shorter than the seed sequence's pool of
+    # four, as long, and longer.
+    got = pipeline._first_doubles(np.array(rows, dtype=np.uint32))
+    assert got.dtype == np.float64
+    assert got.tolist() == [np.random.default_rng(row).random() for row in rows]
+
+
+# Stream indices across the first block's start (32) and the next blocks'
+# edges (1056, 2080).
+_STREAM = range(2101)
+
+
+@pytest.mark.parametrize("seed", [5, 2**32 + 5], ids=["uint32", "wide"])
+def test_keyed_draws_match_default_rng_across_blocks(seed):
+    engine = _Engine(idle_program(3, 3), SimConfig(seed=seed))
+    keys = [(pipeline._COND, i) for i in _STREAM]
+    # An index whose block would pass 2**32 - 1 is replayed alone, and a
+    # block may end at 2**32 - 1.
+    keys += [(pipeline._COND, i) for i in (2**32 - 2, 2**32 + 1, 2**32 - 1024, 2**32 - 1)]
+    for side in (Side.PAST, Side.NORTH):
+        keys += [(pipeline._SPEC, 1, 2, i, side) for i in _STREAM]
+        keys += [(pipeline._SPEC, 1, 2, i, side, 1) for i in _STREAM]
+    for key in keys:
+        assert engine._uniform(*key) == np.random.default_rng([seed, *key]).random(), key
+    # A seed past uint32 keeps every draw on the scalar replay.
+    assert bool(engine._ahead) == (seed < 2**32)
+
+
+def test_long_streams_draw_in_blocks(monkeypatch):
+    """A stream draws its first 32 indices one by one and the rest in
+    blocks, so a long run makes at most 32 scalar replays per stream."""
+    counts = {"scalar": 0, "block": 0}
+    streams: dict[tuple, int] = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    def uniform(self, tag, *ids):
+        pos = 2 if tag == pipeline._SPEC else 0
+        stream = (tag, *ids[:pos], *ids[pos + 1 :])
+        streams[stream] = max(streams.get(stream, 0), ids[pos])
+        return draw(self, tag, *ids)
+
+    draw = _Engine._uniform
+    monkeypatch.setattr(pipeline, "_first_double", counted("scalar", pipeline._first_double))
+    monkeypatch.setattr(pipeline, "_first_doubles", counted("block", pipeline._first_doubles))
+    monkeypatch.setattr(_Engine, "_uniform", uniform)
+    prog = builtin_program("repeated_t", 3, count=300)
+    simulate(prog, SimConfig(strategy="parallel", speculation="stochastic", seed=3))
+    # Conditional coins, and the speculation draws of two temporal sides.
+    assert len(streams) == 3
+    assert min(streams.values()) >= 600
+    assert counts["scalar"] <= 32 * len(streams)
+    assert 0 < counts["block"] <= sum(last // 1024 + 1 for last in streams.values())
+
+
 def _sweep_configs() -> list[SimConfig]:
     empirical = LatencyModel.empirical({k: [2 + k, 3 * k, 5] for k in range(1, 8)})
     cfgs = []
