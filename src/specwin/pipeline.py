@@ -23,8 +23,8 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import partial
-from itertools import product
+from functools import lru_cache, partial
+from itertools import repeat
 from operator import attrgetter
 from typing import Any
 
@@ -65,8 +65,11 @@ _COND, _SPEC, _LAT, _WIN = 1, 2, 3, 4
 # A stream is a draw key with its index word left out: the cell index of a
 # speculation draw, at this position of the ids, and the instruction index
 # of a conditional coin.  A draw at stream index _BLOCK_FROM or later
-# replays the stream's next _BLOCK indices in one vectorized step, which
-# costs about as much as 40 scalar replays whatever its length.
+# replays the stream's next _BLOCK indices in one vectorized step; a
+# speculation draw below it, once _BLOCK_FROM cells are new since the last
+# such batch, replays those cells' speculation draws.  A step costs about
+# 0.17 ms up to ~100 keys and 0.28 ms at 1,024 on two shared Xeon cores,
+# as much as 20 and 35 scalar replays (8 us each).
 _STREAM_POS = {_COND: 0, _SPEC: 2}
 _BLOCK_FROM, _BLOCK = 32, 1024
 
@@ -81,6 +84,11 @@ _T_SPEC = 1
 # -- keyed draws ------------------------------------------------------------
 
 _U32_MAX, _U64_MAX, _U128_MAX = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _u32(*words: int) -> bool:
+    """Whether every word is a uint32."""
+    return min(words) >= 0 and max(words) <= _U32_MAX
 
 
 def _hash_consts(h: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
@@ -135,8 +143,20 @@ _LIMB_MULTS = tuple(
 
 
 def _hash_columns(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    xors, mults = zip(*pairs)
-    return np.array(xors, np.uint32)[:, None], np.array(mults, np.uint32)[:, None]
+    """The (xor, multiplier) pairs as two read-only uint32 columns."""
+    cols = tuple(np.array(c, np.uint32)[:, None] for c in zip(*pairs))
+    for c in cols:
+        c.flags.writeable = False
+    return cols
+
+
+_STATE_COLUMNS = _hash_columns(_STATE_HASH)
+
+
+@lru_cache(maxsize=None)
+def _mix_columns(n_words: int) -> tuple[np.ndarray, np.ndarray]:
+    """mix_entropy's hash constant columns for keys of ``n_words`` words."""
+    return _hash_columns(_hash_consts(*_MIX_HASH, 16 + 4 * max(n_words - 4, 0)))
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -155,7 +175,7 @@ def _first_doubles(words: np.ndarray) -> np.ndarray:
     runs on arrays only, where uint32 and uint64 products wrap silently.
     """
     n_rows, n_words = words.shape
-    xor, mult = _hash_columns(_hash_consts(*_MIX_HASH, 16 + 4 * max(n_words - 4, 0)))
+    xor, mult = _mix_columns(n_words)
 
     # mix_entropy: hash the first four words (zeros past a short key) into
     # the pool, mix every pool word into every other, then mix each further
@@ -178,7 +198,7 @@ def _first_doubles(words: np.ndarray) -> np.ndarray:
         j += 4
 
     # generate_state(4, uint64), then PCG64's (initstate, initseq) as limbs.
-    xor, mult = _hash_columns(_STATE_HASH)
+    xor, mult = _STATE_COLUMNS
     st = _hashmix(np.concatenate((pool, pool)), xor, mult).astype(np.uint64)
     init = (st[2], st[3], st[0], st[1])
     inc = (
@@ -596,6 +616,7 @@ class _Engine:
         self.wrong_faces: set[tuple[int, int]] = set()  # (source id, sink id)
         self._need_sweep = False
         self._ahead: dict[tuple, float] = {}  # (tag, *ids) -> replayed draw
+        self._batched = 0  # cells whose speculation draws were batched
 
     # -- rng streams --------------------------------------------------------
 
@@ -606,7 +627,7 @@ class _Engine:
         sequence and skips numpy's slow conversion of a list of ints.
         """
         key = [self.cfg.seed, tag, *ids]
-        if min(key) >= 0 and max(key) <= _U32_MAX:
+        if _u32(*key):
             key = np.array(key, dtype=np.uint32)
         return np.random.SeedSequence(key)
 
@@ -617,36 +638,80 @@ class _Engine:
     def _uniform(self, tag: int, *ids: int) -> float:
         """``self._rng(tag, *ids).random()``, without building the generator.
 
-        A draw far enough into a stream takes its value from, or starts, a
-        block replay of the stream; any other draw is replayed alone.
+        A draw missing from ``_ahead`` replays a batch into it: at stream
+        index ``_BLOCK_FROM`` or later, the stream's next ``_BLOCK`` draws;
+        at a lower index of a speculation stream, once ``_BLOCK_FROM`` cells
+        are new since the last such batch, those cells' speculation draws.
+        Any other draw is replayed alone.
         """
         if self._ahead:
             u = self._ahead.pop((tag, *ids), None)
             if u is not None:
                 return u
         pos = _STREAM_POS.get(tag)
-        if pos is not None and pos < len(ids) and ids[pos] >= _BLOCK_FROM:
-            u = self._replay_block(tag, ids, pos)
+        if pos is None or pos >= len(ids):
+            replayed = False
+        elif ids[pos] >= _BLOCK_FROM:
+            replayed = self._replay_stream(tag, ids, pos)
+        else:
+            replayed = tag == _SPEC and self._replay_cells()
+        if replayed:
+            u = self._ahead.pop((tag, *ids), None)
             if u is not None:
                 return u
         return _first_double(self._seed_seq(tag, *ids).pool)
 
-    def _replay_block(self, tag: int, ids: tuple, pos: int) -> float | None:
-        """The draw of key ``[seed, tag, *ids]``, replayed with the next
-        ``_BLOCK - 1`` indices of its stream, which go to ``_ahead``; None
-        when a key word, or the block's last index, is not a uint32."""
-        key = [self.cfg.seed, tag, *ids]
+    def _replay_stream(self, tag: int, ids: tuple, pos: int) -> bool:
+        """Replay the draws of key ``(tag, *ids)`` and the next ``_BLOCK - 1``
+        indices of its stream; False when a word of the block is not a uint32."""
         n = ids[pos]
-        if min(key) < 0 or max(key) > _U32_MAX or n + _BLOCK - 1 > _U32_MAX:
-            return None
-        words = np.tile(np.array(key, np.uint32), (_BLOCK, 1))
-        words[:, pos + 2] = np.arange(n, n + _BLOCK, dtype=np.uint32)
-        draws = _first_doubles(words).tolist()
-        # The keys (tag, *ids) with the index running over the rest of the block.
-        factors = [(w,) for w in (tag, *ids)]
-        factors[pos + 1] = range(n + 1, n + _BLOCK)
-        self._ahead.update(zip(product(*factors), draws[1:]))
-        return draws[0]
+        if not _u32(self.cfg.seed, tag, *ids, n + _BLOCK - 1):
+            return False
+        columns = list(ids)
+        columns[pos] = range(n, n + _BLOCK)
+        self._replay(tag, columns)
+        return True
+
+    def _replay_cells(self) -> bool:
+        """Replay the speculation draws below stream index ``_BLOCK_FROM`` of
+        the cells created since the last such batch, one ``_first_doubles``
+        call per key length; False, replaying nothing, while fewer than
+        ``_BLOCK_FROM`` are new or when the seed is not a uint32.
+
+        The keys are those of each cell's source faces now.  A cell that
+        never publishes leaves its keys unused, and a face attached later
+        draws alone; each value depends on its key only, so neither moves
+        a result.
+        """
+        if len(self.cells) - self._batched < _BLOCK_FROM or not _u32(self.cfg.seed):
+            return False
+        new = self.cells[self._batched :]
+        self._batched = len(self.cells)
+        rows: dict[int, list[tuple]] = {}
+        for cell in new:
+            if cell.index < _BLOCK_FROM and _u32(*cell.patch):
+                for _, ids in self._spec_draws(cell):
+                    rows.setdefault(len(ids), []).append(ids)
+        for same_length in rows.values():
+            self._replay(_SPEC, list(zip(*same_length)))
+        return True
+
+    def _replay(self, tag: int, columns: list) -> None:
+        """Replay into ``_ahead``, in one ``_first_doubles`` call, the draws
+        of the keys ``(tag, *ids)`` whose ids are the rows of ``columns``.
+
+        A column is an int shared by every key, or a tuple or range of ints
+        with one per key.  Every word must be a uint32: callers check.
+        """
+        n = next(len(c) for c in columns if not isinstance(c, int))
+        words = np.empty((n, 2 + len(columns)), np.uint32)
+        words[:, 0] = self.cfg.seed
+        words[:, 1] = tag
+        for j, c in enumerate(columns, 2):
+            # numpy converts a range as a slow generic sequence.
+            words[:, j] = np.arange(c.start, c.stop) if isinstance(c, range) else c
+        keys = zip(repeat(tag), *(repeat(c, n) if isinstance(c, int) else c for c in columns))
+        self._ahead.update(zip(keys, _first_doubles(words).tolist()))
 
     # -- event plumbing -----------------------------------------------------
 
@@ -957,13 +1022,8 @@ class _Engine:
         if acc_adj >= 1.0:
             return []
         wrongs = []
-        side, k = None, 0
-        for f in cell.sources:
-            # The second and later faces on a side draw under an extra index.
-            k = k + 1 if f.side is side else 0
-            side = f.side
-            ids = (*cell.patch, cell.index, side)
-            u = self._uniform(_SPEC, *ids, k) if k else self._uniform(_SPEC, *ids)
+        for f, ids in self._spec_draws(cell):
+            u = self._uniform(_SPEC, *ids)
             if u > acc or (
                 u > acc_adj
                 and self.wrong_faces
@@ -971,6 +1031,18 @@ class _Engine:
             ):
                 wrongs.append(f)
         return wrongs
+
+    @staticmethod
+    def _spec_draws(cell: _Cell):
+        """Each source face of ``cell`` with the ids of its speculation draw,
+        in face order.  The second and later faces on a side draw under an
+        extra index."""
+        side, k = None, 0
+        for f in cell.sources:
+            k = k + 1 if f.side is side else 0
+            side = f.side
+            ids = (*cell.patch, cell.index, side)
+            yield f, ((*ids, k) if k else ids)
 
     def _adjacent_faces(self, cell: _Cell, f: Face) -> set[tuple[int, int]]:
         """(source id, sink id) of the faces meeting ``cell``'s face ``f``

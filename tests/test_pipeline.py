@@ -8,6 +8,7 @@ import pickle
 import warnings
 import weakref
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -1089,18 +1090,35 @@ def test_keyed_draws_match_default_rng_across_blocks(seed):
     assert bool(engine._ahead) == (seed < 2**32)
 
 
-def test_long_streams_draw_in_blocks(monkeypatch):
-    """A stream draws its first 32 indices one by one and the rest in
-    blocks, so a long run makes at most 32 scalar replays per stream."""
-    counts = {"scalar": 0, "block": 0}
-    streams: dict[tuple, int] = {}
+def _count_draws(monkeypatch, counts: dict) -> None:
+    """Count scalar replays, ``_first_doubles`` calls, stream blocks and
+    cell batches into ``counts``; a replay that returns False replayed
+    nothing and is not counted."""
 
     def counted(name, fn):
         def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
+            out = fn(*args)
+            counts[name] += out is not False
+            return out
 
         return wrapper
+
+    for name in ("scalar", "first_doubles", "stream", "cells"):
+        counts[name] = 0
+    monkeypatch.setattr(pipeline, "_first_double", counted("scalar", pipeline._first_double))
+    monkeypatch.setattr(
+        pipeline, "_first_doubles", counted("first_doubles", pipeline._first_doubles)
+    )
+    monkeypatch.setattr(_Engine, "_replay_stream", counted("stream", _Engine._replay_stream))
+    monkeypatch.setattr(_Engine, "_replay_cells", counted("cells", _Engine._replay_cells))
+
+
+def test_long_streams_draw_in_blocks(monkeypatch):
+    """A stream draws its first 32 indices one by one or in a batch of new
+    cells, and the rest in blocks, so a long run makes at most 32 scalar
+    replays per stream."""
+    counts: dict[str, int] = {}
+    streams: dict[tuple, int] = {}
 
     def uniform(self, tag, *ids):
         pos = 2 if tag == pipeline._SPEC else 0
@@ -1109,8 +1127,7 @@ def test_long_streams_draw_in_blocks(monkeypatch):
         return draw(self, tag, *ids)
 
     draw = _Engine._uniform
-    monkeypatch.setattr(pipeline, "_first_double", counted("scalar", pipeline._first_double))
-    monkeypatch.setattr(pipeline, "_first_doubles", counted("block", pipeline._first_doubles))
+    _count_draws(monkeypatch, counts)
     monkeypatch.setattr(_Engine, "_uniform", uniform)
     prog = builtin_program("repeated_t", 3, count=300)
     simulate(prog, SimConfig(strategy="parallel", speculation="stochastic", seed=3))
@@ -1118,7 +1135,41 @@ def test_long_streams_draw_in_blocks(monkeypatch):
     assert len(streams) == 3
     assert min(streams.values()) >= 600
     assert counts["scalar"] <= 32 * len(streams)
-    assert 0 < counts["block"] <= sum(last // 1024 + 1 for last in streams.values())
+    assert 0 < counts["stream"] <= sum(last // 1024 + 1 for last in streams.values())
+    # One call per stream block, and at most one per key length per cell batch.
+    assert counts["stream"] < counts["first_doubles"] <= counts["stream"] + 2 * counts["cells"]
+
+
+def test_short_streams_draw_in_one_batch(monkeypatch):
+    """A run whose streams are all shorter than 32 cells replays its
+    speculation draws in one batch once 32 cells exist, bit for bit."""
+    prog = builtin_program("zigzag_chain", 3, count=100)
+
+    def run(**cfg):
+        return simulate(prog, SimConfig(speculation="stochastic", **cfg)).to_json()
+
+    batched = []
+    for recovery, latency, strategy in product(
+        RECOVERY_STRATEGIES, (LatencyModel.fixed(4), LatencyModel.fixed(1)), STRATEGIES
+    ):
+        cfg = dict(recovery=recovery, latency=latency, strategy=strategy, seed=5)
+        batched.append((cfg, run(**cfg)))
+
+    counts: dict[str, int] = {}
+    _count_draws(monkeypatch, counts)
+    run(latency=LatencyModel.fixed(4), seed=5)
+    assert counts["first_doubles"] == counts["cells"] == 1
+    assert counts["scalar"] < pipeline._BLOCK_FROM
+
+    # A seed past uint32 keeps every draw on the scalar replay.
+    wide = run(latency=LatencyModel.fixed(4), seed=2**32 + 5)
+    assert counts["first_doubles"] == 1
+
+    monkeypatch.setattr(_Engine, "_replay_cells", lambda self: False)
+    for cfg, want in batched:
+        assert run(**cfg) == want, cfg
+    assert counts["first_doubles"] == 1
+    assert run(latency=LatencyModel.fixed(4), seed=2**32 + 5) == wide
 
 
 def _sweep_configs() -> list[SimConfig]:
