@@ -62,15 +62,12 @@ RECOVERY_STRATEGIES = ("optimistic", "adjacent", "pessimistic")
 # depend on event interleaving.
 _COND, _SPEC, _LAT, _WIN = 1, 2, 3, 4
 
-# A stream is a draw key with its index word left out: the cell index of a
-# speculation draw, at this position of the ids, and the instruction index
-# of a conditional coin.  A draw at stream index _BLOCK_FROM or later
-# replays the stream's next _BLOCK indices in one vectorized step; a
-# speculation draw below it, once _BLOCK_FROM cells are new since the last
-# such batch, replays those cells' speculation draws.  A step costs about
-# 0.17 ms up to ~100 keys and 0.28 ms at 1,024 on two shared Xeon cores,
-# as much as 20 and 35 scalar replays (8 us each).
-_STREAM_POS = {_COND: 0, _SPEC: 2}
+# A speculation stream is a draw key with its cell index, ids[2], left out.
+# A draw at stream index _BLOCK_FROM or later replays the stream's next
+# _BLOCK indices in one vectorized step; one below it, once _BLOCK_FROM
+# cells are new since the last such batch, replays those cells' draws.
+# A step costs about 0.16-0.20 ms up to ~100 keys and 0.26 ms at 1,024 on
+# two shared Xeon cores, as much as 13-22 numpy draws (about 12 us each).
 _BLOCK_FROM, _BLOCK = 32, 1024
 
 # Event phases: completions verify before speculative bits published at
@@ -83,7 +80,7 @@ _T_SPEC = 1
 
 # -- keyed draws ------------------------------------------------------------
 
-_U32_MAX, _U64_MAX, _U128_MAX = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_U32_MAX = (1 << 32) - 1
 
 
 def _u32(*words: int) -> bool:
@@ -91,72 +88,38 @@ def _u32(*words: int) -> bool:
     return min(words) >= 0 and max(words) <= _U32_MAX
 
 
-def _hash_consts(h: int, mult: int, n: int) -> tuple[tuple[int, int], ...]:
-    out = []
+def _hash_columns(h: int, mult: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """SeedSequence's ``n`` hash (xor, multiplier) pairs from ``h`` on, as
+    two read-only uint32 columns: each multiplier is the next pair's xor."""
+    xor = [h]
     for _ in range(n):
-        nxt = h * mult & _U32_MAX
-        out.append((h, nxt))
-        h = nxt
-    return tuple(out)
-
-
-# SeedSequence.generate_state's (xor, multiplier) hash constants, one pair
-# per output word, and PCG64's 128-bit LCG multiplier.  Seeding takes two
-# LCG steps, folded into one: state = (inc + init) * MULT^2 + inc * (MULT + 1).
-_STATE_HASH = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_PCG64_MULT2 = _PCG64_MULT * _PCG64_MULT & _U128_MAX
-_PCG64_MULT1 = _PCG64_MULT + 1
-
-
-def _first_double(pool: np.ndarray) -> float:
-    """First ``random()`` of a PCG64 Generator seeded by a SeedSequence.
-
-    Replays numpy from the sequence's mixed entropy ``pool`` (four uint32
-    words): ``generate_state(4, uint64)``, PCG64 seeding, one XSL-RR output
-    and the 53-bit double conversion.
-    """
-    words = pool.tolist() * 2
-    st = []
-    for w, (x, m) in zip(words, _STATE_HASH):
-        v = (w ^ x) * m & _U32_MAX
-        st.append(v ^ v >> 16)
-    init = st[1] << 96 | st[0] << 64 | st[3] << 32 | st[2]
-    inc = (st[5] << 96 | st[4] << 64 | st[7] << 32 | st[6]) << 1 & _U128_MAX | 1
-    state = ((inc + init) * _PCG64_MULT2 + inc * _PCG64_MULT1) & _U128_MAX
-    x = (state >> 64 ^ state) & _U64_MAX
-    rot = state >> 122
-    x = (x >> rot | x << (64 - rot)) & _U64_MAX
-    return (x >> 11) * (1.0 / 9007199254740992.0)
-
-
-# SeedSequence.mix_entropy's hash and mix constants (pool size 4), and the
-# PCG64 seeding multipliers as four 32-bit limbs, least significant first:
-# the two folded steps as state = init * MULT^2 + inc * (MULT^2 + MULT + 1).
-_MIX_HASH = (0x43B0D7E5, 0x931E8875)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_M32 = np.uint64(_U32_MAX)
-_LIMB_MULTS = tuple(
-    tuple(np.uint64(m >> s & _U32_MAX) for s in (0, 32, 64, 96))
-    for m in (_PCG64_MULT2, (_PCG64_MULT2 + _PCG64_MULT1) & _U128_MAX)
-)
-
-
-def _hash_columns(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The (xor, multiplier) pairs as two read-only uint32 columns."""
-    cols = tuple(np.array(c, np.uint32)[:, None] for c in zip(*pairs))
+        xor.append(xor[-1] * mult & _U32_MAX)
+    cols = tuple(np.array(c, np.uint32)[:, None] for c in (xor[:-1], xor[1:]))
     for c in cols:
         c.flags.writeable = False
     return cols
 
 
-_STATE_COLUMNS = _hash_columns(_STATE_HASH)
+# SeedSequence.mix_entropy's hash and mix constants (pool size 4), the
+# generate_state hash columns, and PCG64's 128-bit LCG multiplier.  Seeding
+# takes two LCG steps, folded into state = init * MULT^2 + inc * (MULT^2 +
+# MULT + 1); the multipliers are kept as four 32-bit limbs, least
+# significant first.
+_MIX_HASH = (0x43B0D7E5, 0x931E8875)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_STATE_COLUMNS = _hash_columns(0x8B51F9DD, 0x58F38DED, 8)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32 = np.uint64(_U32_MAX)
+_LIMB_MULTS = tuple(
+    tuple(np.uint64(m >> s & _U32_MAX) for s in (0, 32, 64, 96))
+    for m in (_PCG64_MULT**2, _PCG64_MULT**2 + _PCG64_MULT + 1)
+)
 
 
 @lru_cache(maxsize=None)
 def _mix_columns(n_words: int) -> tuple[np.ndarray, np.ndarray]:
     """mix_entropy's hash constant columns for keys of ``n_words`` words."""
-    return _hash_columns(_hash_consts(*_MIX_HASH, 16 + 4 * max(n_words - 4, 0)))
+    return _hash_columns(*_MIX_HASH, 16 + 4 * max(n_words - 4, 0))
 
 
 def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
@@ -168,11 +131,12 @@ def _first_doubles(words: np.ndarray) -> np.ndarray:
     """``np.random.default_rng(row).random()`` for every row of a (K, L)
     uint32 key matrix.
 
-    The vectorized form of ``SeedSequence(row).pool`` followed by
-    ``_first_double``: ``mix_entropy`` into a pool of four words, then
-    ``generate_state``, PCG64 seeding with the 128-bit LCG as 32-bit limbs
-    in uint64 arrays, one XSL-RR output and the 53-bit double.  Arithmetic
-    runs on arrays only, where uint32 and uint64 products wrap silently.
+    numpy's seeding replayed on arrays: ``SeedSequence.mix_entropy`` into
+    a pool of four words, ``generate_state(4, uint64)``, PCG64 seeding with
+    the 128-bit LCG as 32-bit limbs in uint64 arrays, one XSL-RR output and
+    the 53-bit double.  Arithmetic runs on arrays only, where uint32 and
+    uint64 products wrap silently.  The one implementation of this
+    arithmetic: a key no batch covers is drawn by numpy itself.
     """
     n_rows, n_words = words.shape
     xor, mult = _mix_columns(n_words)
@@ -617,59 +581,68 @@ class _Engine:
         self._need_sweep = False
         self._ahead: dict[tuple, float] = {}  # (tag, *ids) -> replayed draw
         self._batched = 0  # cells whose speculation draws were batched
+        # Conditional instructions whose coins were not yet replayed.
+        self._coins = [
+            gi for gi, ins in enumerate(self.instructions) if ins.conditional_on is not None
+        ]
 
     # -- rng streams --------------------------------------------------------
 
-    def _seed_seq(self, tag: int, *ids: int) -> np.random.SeedSequence:
-        """The SeedSequence of key ``[seed, tag, *ids]``.
+    def _rng(self, tag: int, *ids: int) -> np.random.Generator:
+        """``np.random.default_rng([seed, tag, *ids])``.
 
         A key of uint32 values is passed as an array: it seeds the same
-        sequence and skips numpy's slow conversion of a list of ints.
+        generator and skips numpy's slow conversion of a list of ints.
         """
         key = [self.cfg.seed, tag, *ids]
         if _u32(*key):
             key = np.array(key, dtype=np.uint32)
-        return np.random.SeedSequence(key)
-
-    def _rng(self, tag: int, *ids: int) -> np.random.Generator:
-        """``np.random.default_rng([seed, tag, *ids])``."""
-        return np.random.default_rng(self._seed_seq(tag, *ids))
+        return np.random.default_rng(key)
 
     def _uniform(self, tag: int, *ids: int) -> float:
-        """``self._rng(tag, *ids).random()``, without building the generator.
+        """``self._rng(tag, *ids).random()``, mostly from a batch replayed
+        into ``_ahead``.
 
-        A draw missing from ``_ahead`` replays a batch into it: at stream
-        index ``_BLOCK_FROM`` or later, the stream's next ``_BLOCK`` draws;
-        at a lower index of a speculation stream, once ``_BLOCK_FROM`` cells
-        are new since the last such batch, those cells' speculation draws.
-        Any other draw is replayed alone.
+        A draw missing from ``_ahead`` replays a batch into it: every
+        conditional coin of the run at the first coin; at a speculation
+        stream index of ``_BLOCK_FROM`` or later, the stream's next
+        ``_BLOCK`` draws; below it, once ``_BLOCK_FROM`` cells are new
+        since the last such batch, those cells' speculation draws.  numpy
+        draws any key that no batch covers.
         """
-        if self._ahead:
-            u = self._ahead.pop((tag, *ids), None)
-            if u is not None:
-                return u
-        pos = _STREAM_POS.get(tag)
-        if pos is None or pos >= len(ids):
-            replayed = False
-        elif ids[pos] >= _BLOCK_FROM:
-            replayed = self._replay_stream(tag, ids, pos)
+        key = (tag, *ids)
+        u = self._ahead.pop(key, None)
+        if u is not None:
+            return u
+        if tag == _COND:
+            replayed = self._replay_coins()
+        elif tag == _SPEC and len(ids) > 2:
+            replayed = self._replay_stream(ids) if ids[2] >= _BLOCK_FROM else self._replay_cells()
         else:
-            replayed = tag == _SPEC and self._replay_cells()
-        if replayed:
-            u = self._ahead.pop((tag, *ids), None)
-            if u is not None:
-                return u
-        return _first_double(self._seed_seq(tag, *ids).pool)
+            replayed = False
+        u = self._ahead.pop(key, None) if replayed else None
+        return self._rng(tag, *ids).random() if u is None else u
 
-    def _replay_stream(self, tag: int, ids: tuple, pos: int) -> bool:
-        """Replay the draws of key ``(tag, *ids)`` and the next ``_BLOCK - 1``
-        indices of its stream; False when a word of the block is not a uint32."""
-        n = ids[pos]
-        if not _u32(self.cfg.seed, tag, *ids, n + _BLOCK - 1):
+    def _replay_coins(self) -> bool:
+        """Replay the coin of every conditional instruction, once per run;
+        False, replaying nothing, after the first call, for a program with
+        no conditional instruction or when the seed is not a uint32.  Each
+        instruction commits, and so draws its coin, once."""
+        gis, self._coins = self._coins, []
+        if not gis or not _u32(self.cfg.seed, gis[-1]):
+            return False
+        self._replay(_COND, [gis])
+        return True
+
+    def _replay_stream(self, ids: tuple) -> bool:
+        """Replay the speculation draws of ``ids`` and the stream's next
+        ``_BLOCK - 1`` cell indices; False when a word is not a uint32."""
+        n = ids[2]
+        if not _u32(self.cfg.seed, *ids, n + _BLOCK - 1):
             return False
         columns = list(ids)
-        columns[pos] = range(n, n + _BLOCK)
-        self._replay(tag, columns)
+        columns[2] = range(n, n + _BLOCK)
+        self._replay(_SPEC, columns)
         return True
 
     def _replay_cells(self) -> bool:
@@ -700,8 +673,8 @@ class _Engine:
         """Replay into ``_ahead``, in one ``_first_doubles`` call, the draws
         of the keys ``(tag, *ids)`` whose ids are the rows of ``columns``.
 
-        A column is an int shared by every key, or a tuple or range of ints
-        with one per key.  Every word must be a uint32: callers check.
+        A column is an int shared by every key, or a sequence or range of
+        ints with one per key.  Every word must be a uint32: callers check.
         """
         n = next(len(c) for c in columns if not isinstance(c, int))
         words = np.empty((n, 2 + len(columns)), np.uint32)

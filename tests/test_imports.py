@@ -1,6 +1,7 @@
 """Module boundaries: no specwin module imports another one's private names
-or reaches into another object's private attributes or ``__dict__``, and
-every function, method and class specwin defines is used by specwin."""
+or reaches into another object's private attributes or ``__dict__``, every
+function, method and class specwin defines is used by specwin, and every
+name a specwin module assigns at top level is read by specwin."""
 import ast
 from pathlib import Path
 
@@ -82,15 +83,22 @@ TRACED_ONLY = {
 }
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreferenced_definitions(paths) -> list[str]:
     """Functions, methods and classes defined in ``paths`` whose name is
-    used nowhere in ``paths`` outside its own definition, as text.
+    used nowhere in ``paths`` outside its own definition, then names a
+    module of ``paths`` assigns at top level that nothing in ``paths``
+    reads, as text.
 
-    A use is a name, an attribute, an imported name or a string constant
-    (``__all__`` lists names as strings).  Dunders are left out: Python
-    calls them itself.
+    A use of a definition is a name, an attribute, an imported name or a
+    string constant (``__all__`` lists names as strings); a read of an
+    assigned name is a name or attribute loaded.  Dunders are left out:
+    Python calls and reads them itself.
     """
-    defs, uses = [], []
+    defs, uses, assigned, reads = [], [], [], set()
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
     def visit(node, path, enclosing):
@@ -99,8 +107,12 @@ def unreferenced_definitions(paths) -> list[str]:
             enclosing = enclosing | {node}
         if isinstance(node, ast.Name):
             uses.append((node.id, enclosing))
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
         elif isinstance(node, ast.Attribute):
             uses.append((node.attr, enclosing))
+            if isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
         elif isinstance(node, ast.alias):
             uses.append((node.name, enclosing))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -109,14 +121,27 @@ def unreferenced_definitions(paths) -> list[str]:
             visit(child, path, enclosing)
 
     for path in paths:
-        visit(ast.parse(path.read_text(), str(path)), path, frozenset())
+        tree = ast.parse(path.read_text(), str(path))
+        visit(tree, path, frozenset())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+                targets = [stmt.target]
+            else:
+                continue
+            for target in targets:
+                assigned += [(path, n) for n in ast.walk(target) if isinstance(n, ast.Name)]
     found = []
     for path, node in defs:
         name = node.name
-        if name.startswith("__") and name.endswith("__"):
+        if _is_dunder(name):
             continue
         if not any(used == name and node not in where for used, where in uses):
             found.append(f"{path.name}:{node.lineno} {name}")
+    for path, node in assigned:
+        if not _is_dunder(node.id) and node.id not in reads:
+            found.append(f"{path.name}:{node.lineno} {node.id}")
     return found
 
 
@@ -140,8 +165,21 @@ def test_detects_a_dead_definition(tmp_path):
         "    def method(self): return self.method\n"
         "    def called(self): return 2\n"
         "Box().called()\n"
+        "_READ, _UNREAD = 1, 2\n"
+        "_WRITTEN: int = _READ\n"
+        "_WRITTEN += 1\n"
+        "_NAMED_ONLY = 3\n"
+        '_ALSO_NAMED_ONLY = "_NAMED_ONLY"\n'
     )
-    assert unreferenced_definitions([path]) == ["mod.py:4 _recursive", "mod.py:7 method"]
+    assert unreferenced_definitions([path]) == [
+        "mod.py:4 _recursive",
+        "mod.py:7 method",
+        "mod.py:10 _UNREAD",
+        "mod.py:11 _WRITTEN",
+        "mod.py:12 _WRITTEN",
+        "mod.py:13 _NAMED_ONLY",
+        "mod.py:14 _ALSO_NAMED_ONLY",
+    ]
 
 
 def test_detects_a_foreign_dict(tmp_path):

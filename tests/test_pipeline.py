@@ -1078,21 +1078,23 @@ _STREAM = range(2101)
 def test_keyed_draws_match_default_rng_across_blocks(seed):
     engine = _Engine(idle_program(3, 3), SimConfig(seed=seed))
     keys = [(pipeline._COND, i) for i in _STREAM]
-    # An index whose block would pass 2**32 - 1 is replayed alone, and a
-    # block may end at 2**32 - 1.
-    keys += [(pipeline._COND, i) for i in (2**32 - 2, 2**32 + 1, 2**32 - 1024, 2**32 - 1)]
     for side in (Side.PAST, Side.NORTH):
         keys += [(pipeline._SPEC, 1, 2, i, side) for i in _STREAM]
         keys += [(pipeline._SPEC, 1, 2, i, side, 1) for i in _STREAM]
+    # An index whose block would pass 2**32 - 1 is drawn alone, and a block
+    # may end at 2**32 - 1.
+    edges = (2**32 - 2, 2**32 + 1, 2**32 - 1024, 2**32 - 1)
+    keys += [(pipeline._SPEC, 1, 2, i, Side.PAST) for i in edges]
     for key in keys:
         assert engine._uniform(*key) == np.random.default_rng([seed, *key]).random(), key
-    # A seed past uint32 keeps every draw on the scalar replay.
+    # A seed past uint32 leaves every draw to numpy.
     assert bool(engine._ahead) == (seed < 2**32)
 
 
 def _count_draws(monkeypatch, counts: dict) -> None:
-    """Count scalar replays, ``_first_doubles`` calls, stream blocks and
-    cell batches into ``counts``; a replay that returns False replayed
+    """Count numpy fallbacks (``_rng`` calls, those of conditional coins
+    apart too), ``_first_doubles`` calls, stream blocks, cell batches and
+    coin replays into ``counts``; a replay that returns False replayed
     nothing and is not counted."""
 
     def counted(name, fn):
@@ -1103,27 +1105,34 @@ def _count_draws(monkeypatch, counts: dict) -> None:
 
         return wrapper
 
-    for name in ("scalar", "first_doubles", "stream", "cells"):
+    def rng(self, tag, *ids):
+        counts["coin fallback"] += tag == pipeline._COND
+        return fallback(self, tag, *ids)
+
+    names = ("fallback", "coin fallback", "first_doubles", "stream", "cells", "coins")
+    for name in names:
         counts[name] = 0
-    monkeypatch.setattr(pipeline, "_first_double", counted("scalar", pipeline._first_double))
+    fallback = counted("fallback", _Engine._rng)
+    monkeypatch.setattr(_Engine, "_rng", rng)
     monkeypatch.setattr(
         pipeline, "_first_doubles", counted("first_doubles", pipeline._first_doubles)
     )
     monkeypatch.setattr(_Engine, "_replay_stream", counted("stream", _Engine._replay_stream))
     monkeypatch.setattr(_Engine, "_replay_cells", counted("cells", _Engine._replay_cells))
+    monkeypatch.setattr(_Engine, "_replay_coins", counted("coins", _Engine._replay_coins))
 
 
 def test_long_streams_draw_in_blocks(monkeypatch):
-    """A stream draws its first 32 indices one by one or in a batch of new
-    cells, and the rest in blocks, so a long run makes at most 32 scalar
-    replays per stream."""
+    """A speculation stream draws its first 32 indices from numpy or in a
+    batch of new cells, and the rest in blocks, so a long run makes at most
+    32 numpy draws per stream."""
     counts: dict[str, int] = {}
     streams: dict[tuple, int] = {}
 
     def uniform(self, tag, *ids):
-        pos = 2 if tag == pipeline._SPEC else 0
-        stream = (tag, *ids[:pos], *ids[pos + 1 :])
-        streams[stream] = max(streams.get(stream, 0), ids[pos])
+        if tag == pipeline._SPEC:
+            stream = (*ids[:2], *ids[3:])
+            streams[stream] = max(streams.get(stream, 0), ids[2])
         return draw(self, tag, *ids)
 
     draw = _Engine._uniform
@@ -1131,13 +1140,45 @@ def test_long_streams_draw_in_blocks(monkeypatch):
     monkeypatch.setattr(_Engine, "_uniform", uniform)
     prog = builtin_program("repeated_t", 3, count=300)
     simulate(prog, SimConfig(strategy="parallel", speculation="stochastic", seed=3))
-    # Conditional coins, and the speculation draws of two temporal sides.
-    assert len(streams) == 3
+    # The speculation draws of two temporal sides.
+    assert len(streams) == 2
     assert min(streams.values()) >= 600
-    assert counts["scalar"] <= 32 * len(streams)
+    assert counts["fallback"] <= 32 * len(streams)
     assert 0 < counts["stream"] <= sum(last // 1024 + 1 for last in streams.values())
-    # One call per stream block, and at most one per key length per cell batch.
-    assert counts["stream"] < counts["first_doubles"] <= counts["stream"] + 2 * counts["cells"]
+    # One call per stream block, at most one per key length per cell batch,
+    # and one for every conditional coin.
+    assert counts["coins"] == 1
+    assert counts["stream"] < counts["first_doubles"] <= (
+        counts["stream"] + 2 * counts["cells"] + counts["coins"]
+    )
+
+
+def test_conditional_coins_replay_once(monkeypatch):
+    """A run replays every conditional coin in one batch at its first coin,
+    bit for bit; a seed past uint32 leaves the coins to numpy."""
+    prog = builtin_program("repeated_t", 3, count=40)
+    gis = [gi for gi, ins in enumerate(prog.instructions) if ins.conditional_on is not None]
+    assert min(gis) < pipeline._BLOCK_FROM <= max(gis)
+
+    def run(seed):
+        res = simulate(prog, SimConfig(speculation="stochastic", seed=seed))
+        skipped = {seg.instruction: seg.skipped for seg in res.timeline if seg.instruction in gis}
+        coins = {gi: np.random.default_rng([seed, pipeline._COND, gi]).random() for gi in gis}
+        assert skipped == {gi: u >= 0.5 for gi, u in coins.items()}
+        return res.to_json()
+
+    counts: dict[str, int] = {}
+    _count_draws(monkeypatch, counts)
+    batched = run(3)
+    assert counts["coins"] == 1
+    assert counts["coin fallback"] == 0
+    wide = run(2**32 + 3)
+    assert counts["coins"] == 1
+    assert counts["coin fallback"] == len(gis)
+
+    monkeypatch.setattr(_Engine, "_replay_coins", lambda self: False)
+    assert run(3) == batched
+    assert run(2**32 + 3) == wide
 
 
 def test_short_streams_draw_in_one_batch(monkeypatch):
@@ -1159,9 +1200,9 @@ def test_short_streams_draw_in_one_batch(monkeypatch):
     _count_draws(monkeypatch, counts)
     run(latency=LatencyModel.fixed(4), seed=5)
     assert counts["first_doubles"] == counts["cells"] == 1
-    assert counts["scalar"] < pipeline._BLOCK_FROM
+    assert counts["fallback"] < pipeline._BLOCK_FROM
 
-    # A seed past uint32 keeps every draw on the scalar replay.
+    # A seed past uint32 leaves every draw to numpy.
     wide = run(latency=LatencyModel.fixed(4), seed=2**32 + 5)
     assert counts["first_doubles"] == 1
 
