@@ -469,27 +469,27 @@ def _overlapping(cells: list[_Cell], lo: int, hi: int) -> list[_Cell]:
 
 
 class _Task:
-    """One decode attempt of a cell: its rounds and what it consumed."""
+    """One decode attempt of a cell: its rounds and ``spec``, the sources
+    whose speculated bits it decoded on, matched by identity (``is``)."""
 
-    __slots__ = ("start", "end", "attempt", "consumed")
+    __slots__ = ("start", "end", "spec")
 
-    def __init__(self, start: int, end: int, attempt: int, consumed: tuple):
+    def __init__(self, start: int, end: int, spec: tuple):
         self.start = start
         self.end = end
-        self.attempt = attempt
-        self.consumed = consumed  # (sink face, source cell, "verified" | "spec")
+        self.spec = spec
 
     def speculated_on(self, src: _Cell) -> bool:
         """Whether this task decoded on ``src``'s speculated bits."""
-        for _, s, mode in self.consumed:
+        for s in self.spec:
             if s is src:
-                return mode == "spec"
+                return True
         return False
 
     def awaits_verification(self) -> bool:
         """Whether a source this task speculated on is still unverified."""
-        for _, src, mode in self.consumed:
-            if mode == "spec" and src.verified_at is None:
+        for s in self.spec:
+            if s.verified_at is None:
                 return True
         return False
 
@@ -576,15 +576,13 @@ class _Engine:
         self.occupancy: list[tuple[int, int]] = []
         self.valid = 0
         self.wasted = 0
-        self.mispredictions = 0
         self.wrong_faces: set[tuple[int, int]] = set()  # (source id, sink id)
-        self._need_sweep = False
         self._ahead: dict[tuple, float] = {}  # (tag, *ids) -> replayed draw
         self._batched = 0  # cells whose speculation draws were batched
-        # Conditional instructions whose coins were not yet replayed.
-        self._coins = [
-            gi for gi, ins in enumerate(self.instructions) if ins.conditional_on is not None
-        ]
+        # Every conditional instruction commits, and so draws its coin, once.
+        gis = [gi for gi, ins in enumerate(self.instructions) if ins.conditional_on is not None]
+        if gis and _u32(cfg.seed, gis[-1]):
+            self._replay(_COND, [gis])
 
     # -- rng streams --------------------------------------------------------
 
@@ -603,36 +601,20 @@ class _Engine:
         """``self._rng(tag, *ids).random()``, mostly from a batch replayed
         into ``_ahead``.
 
-        A draw missing from ``_ahead`` replays a batch into it: every
-        conditional coin of the run at the first coin; at a speculation
-        stream index of ``_BLOCK_FROM`` or later, the stream's next
-        ``_BLOCK`` draws; below it, once ``_BLOCK_FROM`` cells are new
-        since the last such batch, those cells' speculation draws.  numpy
-        draws any key that no batch covers.
+        Every coin is replayed when the run starts.  A speculation draw
+        missing from ``_ahead`` replays a batch into it: at a stream index
+        of ``_BLOCK_FROM`` or later, the stream's next ``_BLOCK`` draws;
+        below it, once ``_BLOCK_FROM`` cells are new since the last such
+        batch, those cells' draws.  numpy draws any key no batch covers.
         """
         key = (tag, *ids)
         u = self._ahead.pop(key, None)
         if u is not None:
             return u
-        if tag == _COND:
-            replayed = self._replay_coins()
-        elif tag == _SPEC and len(ids) > 2:
+        if tag == _SPEC and len(ids) > 2:
             replayed = self._replay_stream(ids) if ids[2] >= _BLOCK_FROM else self._replay_cells()
-        else:
-            replayed = False
-        u = self._ahead.pop(key, None) if replayed else None
+            u = self._ahead.pop(key, None) if replayed else None
         return self._rng(tag, *ids).random() if u is None else u
-
-    def _replay_coins(self) -> bool:
-        """Replay the coin of every conditional instruction, once per run;
-        False, replaying nothing, after the first call, for a program with
-        no conditional instruction or when the seed is not a uint32.  Each
-        instruction commits, and so draws its coin, once."""
-        gis, self._coins = self._coins, []
-        if not gis or not _u32(self.cfg.seed, gis[-1]):
-            return False
-        self._replay(_COND, [gis])
-        return True
 
     def _replay_stream(self, ids: tuple) -> bool:
         """Replay the speculation draws of ``ids`` and the stream's next
@@ -783,11 +765,7 @@ class _Engine:
                 prev_gi = qs.order[qs.next_i - 1]
                 gap = ins.start_round - self.instructions[prev_gi].end_round
                 cands.append(self.exec_end[prev_gi] + gap)
-        if (
-            self.cfg.stall_blocking
-            and ins.conditional_on is not None
-            and self.instructions[ins.conditional_on].blocking
-        ):
+        if self.cfg.stall_blocking and ins.conditional_on is not None:
             rel = self.releases.get(ins.conditional_on)
             if rel is None or rel.resume is None:
                 return False
@@ -866,11 +844,12 @@ class _Engine:
         # source stays waiting.
         for nid in sorted([f.neighbor for f in cell.sources]):
             self._try_start(self.cells[nid])
-        self._dispatch()
 
     # -- decode task lifecycle ----------------------------------------------
 
     def _try_start(self, cell: _Cell) -> None:
+        """Start the idle cell's decode once every sink face's source has
+        verified or speculated; queue it while every processor is busy."""
         if (
             cell.gen_time is None
             or cell.verified_at is not None
@@ -879,22 +858,20 @@ class _Engine:
             or cell.queued
         ):
             return
-        consumed = []
+        spec = []
         for f in cell.sinks:
             src = self.cells[f.neighbor]
-            if src.verified_at is not None:
-                consumed.append((f, src, "verified"))
-            elif src.spec_time is not None:
-                consumed.append((f, src, "spec"))
-            else:
-                return
+            if src.verified_at is None:
+                if src.spec_time is None:
+                    return
+                spec.append(src)
         if self.cfg.processors is not None and self.running_count >= self.cfg.processors:
             cell.queued = True
             self.queue.append(cell)
             return
-        self._start(cell, consumed)
+        self._start(cell, tuple(spec))
 
-    def _start(self, cell: _Cell, consumed: list) -> None:
+    def _start(self, cell: _Cell, spec: tuple) -> None:
         attempt = cell.attempts
         cell.attempts += 1
         rng = None
@@ -904,7 +881,7 @@ class _Engine:
         now = self.clock
         if cell.first_start is None:
             cell.first_start = now
-        cell.running = _Task(now, now + dur, attempt, tuple(consumed))
+        cell.running = _Task(now, now + dur, spec)
         self._occupy(1)
         self._push(now + dur, _PH_DONE, cell.id, attempt)
 
@@ -934,7 +911,7 @@ class _Engine:
     def _on_done(self, cid: int, attempt: int) -> None:
         cell = self.cells[cid]
         task = cell.running
-        if task is None or task.attempt != attempt:
+        if task is None or attempt != cell.attempts - 1:
             return
         self._stop(cell)
         cell.done = task
@@ -945,6 +922,7 @@ class _Engine:
     # -- verification and recovery ------------------------------------------
 
     def _verify_cascade(self, root: _Cell) -> None:
+        resolved = False
         work = deque([root])
         while work:
             cell = work.popleft()
@@ -955,17 +933,16 @@ class _Engine:
             cell.verified_at = self.clock
             self.valid += task.end - task.start
             for rel in cell.hooks:
-                self._note_release(rel)
+                resolved |= self._note_release(rel)
             # Integrated mode decodes every cell: its consumers need its truth.
             if self.integrated:
-                wrongs = self._by_decoding(cell, task.consumed)
+                wrongs = self._by_decoding(cell)
             elif cell.spec_time is not None:
                 wrongs = self._by_draw(cell)
             else:
                 wrongs = []
             for f in wrongs:
                 self.wrong_faces.add((cell.id, f.neighbor))
-                self.mispredictions += 1
             for f in wrongs:
                 self._recover(cell, f)
             # A consumer that finished decoding did so on this cell's
@@ -976,9 +953,7 @@ class _Engine:
                     self._try_start(child)
                 elif not child.done.awaits_verification():
                     work.append(child)
-        self._dispatch()
-        if self._need_sweep:
-            self._need_sweep = False
+        if resolved:
             self._sweep()
 
     def _by_draw(self, cell: _Cell) -> list[Face]:
@@ -1027,16 +1002,17 @@ class _Engine:
             out.update((g.neighbor, z.id) for g in z.sinks if g.side.axis != axis)
         return out
 
-    def _note_release(self, rel: _Release) -> None:
-        """A covering cell of ``rel`` verified now; the last one resolves it."""
+    def _note_release(self, rel: _Release) -> bool:
+        """A covering cell of ``rel`` verified now; the last one resolves it
+        and returns True."""
         rel.pending -= 1
         if rel.pending:
-            return
+            return False
         reaction = max(0, self.clock - rel.t_b)
         self.reactions.append((rel.gi, reaction))
         blocks = (reaction + 2 * self.d - 1) // (2 * self.d)
         rel.resume = rel.t_b + 2 * self.d * blocks
-        self._need_sweep = True
+        return True
 
     def _recover(self, src: _Cell, face: Face) -> None:
         owners = [(src, face.neighbor)]
@@ -1084,9 +1060,9 @@ class _Engine:
 
     # -- integrated speculation ----------------------------------------------
 
-    def _by_decoding(self, cell: _Cell, consumed: tuple) -> list[Face]:
+    def _by_decoding(self, cell: _Cell) -> list[Face]:
         """Integrated mode: store the cell's truth, the dependency bits of a
-        matching decode of its keyed syndrome with its ``consumed`` sources'
+        matching decode of its keyed syndrome with its sink faces' sources'
         truth projected in; then judge its published prediction by it.  The
         prediction reads only that syndrome, fixed before the cell generated,
         so predicting now gives the bits it published.  Both are sites in the
@@ -1096,7 +1072,9 @@ class _Engine:
         g = build_window_graph(self.d, cell.rounds, list(sides))
         _, synd = g.sample_errors(self.cfg.noise_p, self._rng(_WIN, *cell.patch, cell.index))
         bits = synd.bits.copy()
-        for f, src, _ in consumed:
+        # The task's sources: no face attaches to a cell once it has generated.
+        for f in cell.sinks:
+            src = self.cells[f.neighbor]
             for site in src.truth[f.side.mirror]:
                 loc = self._project(f, src, cell, g.commit_hi, site)
                 if loc is not None:
@@ -1187,7 +1165,7 @@ class _Engine:
             occupancy=self.occupancy,
             valid_compute=self.valid,
             wasted_compute=self.wasted,
-            mispredictions=self.mispredictions,
+            mispredictions=len(self.wrong_faces),
             cell_log=log,
         )
 

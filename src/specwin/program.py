@@ -142,10 +142,18 @@ class Instruction:
 
     def __post_init__(self):
         fix = partial(object.__setattr__, self)
-        fix("kind", InstructionKind(self.kind))
+        try:
+            fix("kind", InstructionKind(self.kind))
+        except ValueError:
+            kinds = [k.value for k in InstructionKind]
+            raise SchemaError(f"kind must be one of {kinds}, got {self.kind!r}") from None
+        try:
+            patches = [(r, c) for r, c in self.patches]
+        except (TypeError, ValueError):
+            raise SchemaError(f"patches must be (row, col) pairs, got {self.patches!r}") from None
         whole = partial(check_whole, error=SchemaError)
         fix("patches", tuple((whole("patch row", r, 0), whole("patch col", c, 0))
-                             for r, c in self.patches))
+                             for r, c in patches))
         fix("start_round", whole("start_round", self.start_round, 0))
         fix("duration", whole("duration", self.duration, 1))
         if self.conditional_on is not None:
@@ -188,9 +196,17 @@ class Program:
 
     def __post_init__(self):
         self.distance = check_distance("distance", self.distance, SchemaError)
-        rows, cols = self.grid
+        try:
+            rows, cols = self.grid
+        except (TypeError, ValueError):
+            raise SchemaError(f"grid must be a (rows, cols) pair, got {self.grid!r}") from None
         self.grid = (check_whole("grid rows", rows, 1, SchemaError),
                      check_whole("grid cols", cols, 1, SchemaError))
+        if not isinstance(self.instructions, list):
+            raise SchemaError(f"instructions must be a list, got {self.instructions!r}")
+        for k, ins in enumerate(self.instructions):
+            if not isinstance(ins, Instruction):
+                raise SchemaError(f"instructions[{k}] must be an Instruction, got {ins!r}")
 
     @property
     def patches(self) -> list[PatchId]:

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -511,3 +513,35 @@ def test_options_a_subcommand_sets_itself_are_rejected(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of every ``specwin`` line in README's code blocks, with
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands, fenced, line = [], False, ""
+    for raw in text.splitlines():
+        if raw.startswith("```"):
+            fenced, line = not fenced, ""
+            continue
+        if not fenced:
+            continue
+        line += raw.strip()
+        if line.endswith("\\"):
+            line = line[:-1] + " "
+            continue
+        if line.startswith("specwin "):
+            commands.append(shlex.split(line)[1:])
+        line = ""
+    return commands
+
+
+def test_readme_examples_parse():
+    """Every command line README shows parses, so a renamed or removed
+    option cannot leave README stale."""
+    commands = _readme_commands()
+    assert len(commands) == 6
+    parser = cli.build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]

@@ -561,6 +561,86 @@ def test_processor_heuristic_limit_keeps_runtime():
     assert limited.runtime_rounds == unlimited.runtime_rounds
 
 
+class _CellCap(Exception):
+    """A capped run made its last allowed cell."""
+
+
+def _cap_cells(monkeypatch, cap: int) -> None:
+    """Make every run raise ``_CellCap`` instead of making cell ``cap + 1``."""
+    new_cell = _Engine._new_cell
+
+    def capped(self, *args):
+        if len(self.cells) >= cap:
+            raise _CellCap
+        return new_cell(self, *args)
+
+    monkeypatch.setattr(_Engine, "_new_cell", capped)
+
+
+def test_queue_waits_only_on_busy_processors_and_faces_attach_before_generation(monkeypatch):
+    """After every event, the decoder queue is empty or every processor is
+    busy, so only a freed processor can start a queued cell; and no face
+    attaches to a cell once it has generated, so a cell's sink faces are
+    those its decode tasks started on.  Runs that live-lock a limited pool
+    stop at a cell cap."""
+    _cap_cells(monkeypatch, 1500)
+    seen = {"events": 0, "queued": 0, "attached": 0}
+
+    def checked(handler):
+        def after(self, *args):
+            handler(self, *args)
+            seen["events"] += 1
+            if self.queue:
+                seen["queued"] += 1
+                assert self.running_count == self.cfg.processors
+        return after
+
+    def attach(self, a, b, side):
+        assert a.gen_time is None and b.gen_time is None
+        seen["attached"] += 1
+        attach_face(self, a, b, side)
+
+    attach_face = _Engine._attach
+    monkeypatch.setattr(_Engine, "_attach", attach)
+    for name in ("_on_gen", "_on_done", "_on_spec"):
+        monkeypatch.setattr(_Engine, name, checked(getattr(_Engine, name)))
+    for name, strategy, spec, pool, rounds in product(
+        BUILTIN_PROGRAMS, STRATEGIES, SPECULATION_MODES, (None, 1, 2, 3), (1, 4)
+    ):
+        cfg = SimConfig(
+            strategy=strategy,
+            speculation=spec,
+            processors=pool,
+            latency=LatencyModel.fixed(rounds),
+        )
+        try:
+            simulate(builtin_program(name, 3), cfg)
+        except _CellCap:
+            pass
+    # Both facts were exercised: cells waited in the queue, faces attached.
+    assert 0 < seen["queued"] < seen["events"]
+    assert seen["attached"] > 0
+
+
+@pytest.mark.xfail(
+    raises=_CellCap,
+    strict=True,
+    reason="A limited decoder pool can live-lock (ROADMAP: 'A limited decoder pool "
+    "can live-lock: a measured policy that ends it')",
+)
+def test_limited_pool_msd_returns(monkeypatch):
+    """A pool of 2 or 3 decoders finishes msd_15to1 at d=3 within 20 times
+    the cells of the unlimited run."""
+    prog = builtin_program("msd_15to1", 3)
+    cfg = SimConfig(strategy="sliding", speculation="off", latency=LatencyModel.fixed(4))
+    cells = len(simulate(prog, cfg).cell_log)
+    assert cells == 362
+    _cap_cells(monkeypatch, 20 * cells)
+    for pool in (2, 3):
+        res = simulate(prog, replace(cfg, processors=pool))
+        check_timeline(prog, res)
+
+
 # -- results -----------------------------------------------------------------
 
 
@@ -922,9 +1002,9 @@ def test_faces_on_one_side_are_judged_by_their_neighbours_rounds(monkeypatch):
         judged, predicted = {}, {}
         judging = []
 
-        def record(cell, consumed):
+        def record(cell):
             judging[:] = [cell]
-            judged[cell.id] = judge(cell, consumed)
+            judged[cell.id] = judge(cell)
             return judged[cell.id]
 
         def predict(view):
@@ -1094,8 +1174,8 @@ def test_keyed_draws_match_default_rng_across_blocks(seed):
 def _count_draws(monkeypatch, counts: dict) -> None:
     """Count numpy fallbacks (``_rng`` calls, those of conditional coins
     apart too), ``_first_doubles`` calls, stream blocks, cell batches and
-    coin replays into ``counts``; a replay that returns False replayed
-    nothing and is not counted."""
+    coin replays (``_replay`` calls tagged ``_COND``) into ``counts``; a
+    replay that returns False replayed nothing and is not counted."""
 
     def counted(name, fn):
         def wrapper(*args):
@@ -1109,17 +1189,22 @@ def _count_draws(monkeypatch, counts: dict) -> None:
         counts["coin fallback"] += tag == pipeline._COND
         return fallback(self, tag, *ids)
 
+    def replay(self, tag, columns):
+        counts["coins"] += tag == pipeline._COND
+        return replay_keys(self, tag, columns)
+
     names = ("fallback", "coin fallback", "first_doubles", "stream", "cells", "coins")
     for name in names:
         counts[name] = 0
     fallback = counted("fallback", _Engine._rng)
+    replay_keys = _Engine._replay
     monkeypatch.setattr(_Engine, "_rng", rng)
+    monkeypatch.setattr(_Engine, "_replay", replay)
     monkeypatch.setattr(
         pipeline, "_first_doubles", counted("first_doubles", pipeline._first_doubles)
     )
     monkeypatch.setattr(_Engine, "_replay_stream", counted("stream", _Engine._replay_stream))
     monkeypatch.setattr(_Engine, "_replay_cells", counted("cells", _Engine._replay_cells))
-    monkeypatch.setattr(_Engine, "_replay_coins", counted("coins", _Engine._replay_coins))
 
 
 def test_long_streams_draw_in_blocks(monkeypatch):
@@ -1154,17 +1239,25 @@ def test_long_streams_draw_in_blocks(monkeypatch):
 
 
 def test_conditional_coins_replay_once(monkeypatch):
-    """A run replays every conditional coin in one batch at its first coin,
-    bit for bit; a seed past uint32 leaves the coins to numpy."""
+    """A run replays every conditional coin in one batch when it starts, bit
+    for bit; a seed past uint32 leaves the coins to numpy."""
     prog = builtin_program("repeated_t", 3, count=40)
     gis = [gi for gi, ins in enumerate(prog.instructions) if ins.conditional_on is not None]
     assert min(gis) < pipeline._BLOCK_FROM <= max(gis)
 
+    def coins(seed):
+        return {gi: np.random.default_rng([seed, pipeline._COND, gi]).random() for gi in gis}
+
     def run(seed):
-        res = simulate(prog, SimConfig(speculation="stochastic", seed=seed))
+        cfg = SimConfig(speculation="stochastic", seed=seed)
+        engine = _Engine(prog, cfg)
+        if seed < 2**32:
+            assert engine._ahead == {(pipeline._COND, gi): u for gi, u in coins(seed).items()}
+        else:
+            assert engine._ahead == {}
+        res = engine.run()
         skipped = {seg.instruction: seg.skipped for seg in res.timeline if seg.instruction in gis}
-        coins = {gi: np.random.default_rng([seed, pipeline._COND, gi]).random() for gi in gis}
-        assert skipped == {gi: u >= 0.5 for gi, u in coins.items()}
+        assert skipped == {gi: u >= 0.5 for gi, u in coins(seed).items()}
         return res.to_json()
 
     counts: dict[str, int] = {}
@@ -1176,9 +1269,14 @@ def test_conditional_coins_replay_once(monkeypatch):
     assert counts["coins"] == 1
     assert counts["coin fallback"] == len(gis)
 
-    monkeypatch.setattr(_Engine, "_replay_coins", lambda self: False)
-    assert run(3) == batched
-    assert run(2**32 + 3) == wide
+    # With the coin batch left out, numpy draws every coin alike.
+    replay = _Engine._replay
+    monkeypatch.setattr(
+        _Engine, "_replay", lambda self, tag, cols: tag != pipeline._COND and replay(self, tag, cols)
+    )
+    assert simulate(prog, SimConfig(speculation="stochastic", seed=3)).to_json() == batched
+    assert counts["coin fallback"] == 2 * len(gis)
+    assert simulate(prog, SimConfig(speculation="stochastic", seed=2**32 + 3)).to_json() == wide
 
 
 def test_short_streams_draw_in_one_batch(monkeypatch):

@@ -218,6 +218,37 @@ def test_rejects_malformed_instruction(raw):
         parse_program(data)
 
 
+@pytest.mark.parametrize(
+    "build,match",
+    [
+        (lambda: Program(3, 5), "^grid must be a"),
+        (lambda: Program(3, (1,)), "^grid must be a"),
+        (lambda: Program(3, (1, 2, 3)), "^grid must be a"),
+        (lambda: Instruction("Idle", [5], 0, 1), "^patches must be"),
+        (lambda: Instruction("Idle", 7, 0, 1), "^patches must be"),
+        (lambda: Instruction("Idle", [(0, 0, 1)], 0, 1), "^patches must be"),
+        (lambda: Instruction("Bogus", [(0, 0)], 0, 1), "^kind must be one of"),
+        (lambda: Instruction(["Idle"], [(0, 0)], 0, 1), "^kind must be one of"),
+        (lambda: Program(3, (1, 1), instructions=5), "^instructions must be a list"),
+        (lambda: Program(3, (1, 1), instructions=[5]), r"^instructions\[0\] must be an Instruction"),
+    ],
+)
+def test_malformed_structure_names_its_field(build, match):
+    with pytest.raises(SchemaError, match=match):
+        build()
+
+
+def test_parse_names_the_instruction_of_a_malformed_field():
+    data = serialize_program(simple_program())
+    data["instructions"][1]["kind"] = "Bogus"
+    with pytest.raises(SchemaError, match="^instruction 1: kind must be one of"):
+        parse_program(data)
+    data = serialize_program(simple_program())
+    data["instructions"][2]["patches"] = 7
+    with pytest.raises(SchemaError, match="^instruction 2: patches must be"):
+        parse_program(data)
+
+
 def test_unknown_format():
     data = serialize_program(simple_program())
     data["format"] = 99
