@@ -288,13 +288,15 @@ def decode_latency(task_units: float, d: int, model: LatencyModel, rng=None) -> 
         t = model.rounds
     elif model.kind == "linear":
         t = int(math.ceil(model.rate * k * d - 1e-9))
-    else:
+    elif model.kind == "empirical":
         bucket = (model.buckets or {}).get(k)
         if not bucket:
             raise ValueError(f"empirical latency has no bucket for task size {k}")
         if rng is None:
             raise ValueError("empirical latency needs an rng")
         t = bucket[int(rng.integers(len(bucket)))]
+    else:
+        raise ValueError(f"unknown latency kind {model.kind!r}")
     return max(1, int(t))
 
 
@@ -333,6 +335,8 @@ class SimConfig:
         self.seed = check_whole("seed", self.seed, 0)
         if not (0.0 <= self.noise_p < 1.0):
             raise ValueError("noise_p must be in [0, 1)")
+        if not isinstance(self.stall_blocking, (bool, np.bool_)):
+            raise ValueError(f"stall_blocking must be a bool, got {self.stall_blocking!r}")
         if not isinstance(self.latency, LatencyModel):
             raise ValueError(f"latency must be a LatencyModel, got {self.latency!r}")
         self.latency.validate(d)
@@ -533,12 +537,11 @@ class _Release:
 
 
 class _PatchState:
-    __slots__ = ("order", "next_i", "death", "cells")
+    __slots__ = ("order", "next_i", "cells")
 
     def __init__(self, order: list[int]):
         self.order = order
         self.next_i = 0
-        self.death: int | None = None
         self.cells: list[_Cell] = []
 
 
@@ -697,34 +700,27 @@ class _Engine:
         b.attach(Face(side.mirror, a.id), not a_src)
 
     def _ensure_upto(self, patch: tuple, upto: int) -> None:
+        """Tile the live patch until its last cell ends at or past ``upto``; a
+        dead patch's tail cell already ends at its final instruction's end."""
         ps = self.pstate[patch]
-        while True:
+        while ps.next_i < len(ps.order) and ps.cells[-1].t1 < upto:
             end = ps.cells[-1].t1
-            if end >= upto or (ps.death is not None and end >= ps.death):
-                break
-            t1 = end + self.d
-            if ps.death is not None:
-                t1 = min(t1, ps.death)
-            self._new_cell(patch, end, t1)
+            self._new_cell(patch, end, end + self.d)
 
-    def _apply_death(self, patch: tuple) -> None:
-        ps = self.pstate[patch]
-        last = ps.cells[-1]
-        if last.t1 <= ps.death:
+    def _apply_death(self, last: _Cell, death: int) -> None:
+        if last.t1 <= death:
             return
-        # The provisional tail cell overshot the patch's final round.
+        # The provisional tail cell ``last`` overshot the patch's final round.
         # Shrink it and reposition every generation event that referenced
-        # its old end; none of them can have fired yet since the new end
-        # is still in the future.
-        last.t1 = ps.death
+        # its old end; none has fired, since a cell across its sink faces
+        # generates no earlier than that end, which is still in the future.
+        last.t1 = death
         last.vgen += 1
-        self._push(ps.death, _PH_GEN, last.id, last.vgen)
+        self._push(death, _PH_GEN, last.id, last.vgen)
         # Sinks keep attach order, which the push sequence needs: it breaks
         # event ties.
         for f in last.sinks:
             nbr = self.cells[f.neighbor]
-            if nbr.gen_time is not None:
-                continue
             nbr.vgen += 1
             self._push(self._gen_value(nbr), _PH_GEN, nbr.id, nbr.vgen)
 
@@ -757,7 +753,7 @@ class _Engine:
         cands = []
         for q in ins.patches:
             qs = self.pstate[q]
-            if qs.next_i >= len(qs.order) or qs.order[qs.next_i] != gi:
+            if qs.order[qs.next_i] != gi:
                 return False
             if qs.next_i == 0:
                 cands.append(ins.start_round)
@@ -785,14 +781,13 @@ class _Engine:
         )
         for q in ins.patches:
             qs = self.pstate[q]
-            qs.next_i += 1
             if not qs.cells:
                 # The patch's first instruction: its tiling starts here.
                 self._new_cell(q, start, start + self.d)
             self._ensure_upto(q, end)
-            if qs.next_i >= len(qs.order):
-                qs.death = end
-                self._apply_death(q)
+            qs.next_i += 1
+            if qs.next_i == len(qs.order):
+                self._apply_death(qs.cells[-1], end)
         if ins.merging:
             for i, pa in enumerate(ins.patches):
                 for pb in ins.patches[i + 1:]:
@@ -818,9 +813,7 @@ class _Engine:
         cell = self.cells[cid]
         if cell.gen_time is not None or cell.vgen != v:
             return
-        patch = cell.patch
-        if self.pstate[patch].cells[-1] is cell:
-            self._ensure_upto(patch, cell.t1 + 1)
+        self._ensure_upto(cell.patch, cell.t1 + 1)
         g = self._gen_value(cell)
         if g > self.clock:
             cell.vgen += 1
@@ -848,15 +841,10 @@ class _Engine:
     # -- decode task lifecycle ----------------------------------------------
 
     def _try_start(self, cell: _Cell) -> None:
-        """Start the idle cell's decode once every sink face's source has
-        verified or speculated; queue it while every processor is busy."""
-        if (
-            cell.gen_time is None
-            or cell.verified_at is not None
-            or cell.running is not None
-            or cell.done is not None
-            or cell.queued
-        ):
+        """Start the cell's decode once every sink face's source has verified
+        or speculated; queue it while every processor is busy.  The cell is
+        unverified and holds no finished task."""
+        if cell.gen_time is None or cell.running is not None or cell.queued:
             return
         spec = []
         for f in cell.sinks:
@@ -894,8 +882,6 @@ class _Engine:
         occ.append((self.clock, self.running_count))
 
     def _dispatch(self) -> None:
-        if self.cfg.processors is None:
-            return
         while self.queue and self.running_count < self.cfg.processors:
             cell = self.queue.popleft()
             cell.queued = False
@@ -927,8 +913,6 @@ class _Engine:
         while work:
             cell = work.popleft()
             task = cell.done
-            if cell.verified_at is not None or task is None or task.awaits_verification():
-                continue
             cell.done = None
             cell.verified_at = self.clock
             self.valid += task.end - task.start
@@ -1008,13 +992,29 @@ class _Engine:
         rel.pending -= 1
         if rel.pending:
             return False
-        reaction = max(0, self.clock - rel.t_b)
+        reaction = self.clock - rel.t_b
         self.reactions.append((rel.gi, reaction))
         blocks = (reaction + 2 * self.d - 1) // (2 * self.d)
         rel.resume = rel.t_b + 2 * self.d * blocks
         return True
 
     def _recover(self, src: _Cell, face: Face) -> None:
+        """Re-decode every recovery target, each unverified and holding a
+        running or finished task, then dispatch the queue."""
+        now = self.clock
+        for cell in self._recovery_targets(src, face):
+            if cell.running is not None:
+                task = self._stop(cell)
+                self.wasted += now - task.start
+            else:
+                task = cell.done
+                self.wasted += task.end - task.start
+                cell.done = None
+            self._try_start(cell)
+        self._dispatch()
+
+    def _recovery_targets(self, src: _Cell, face: Face) -> list[_Cell]:
+        """The cells, in id order, whose tasks ``src``'s wrong ``face`` spoils."""
         owners = [(src, face.neighbor)]
         if self.cfg.recovery in ("adjacent", "pessimistic"):
             for oid, sid in self._adjacent_faces(src, face):
@@ -1039,24 +1039,9 @@ class _Engine:
                         continue
                     seen.add(child.id)
                     frontier.append(child)
-                    if child.verified_at is None and (child.running or child.done):
+                    if child.running or child.done:
                         targets[child.id] = child
-        now = self.clock
-        for cid in sorted(targets):
-            cell = targets[cid]
-            if cell.verified_at is not None:
-                continue
-            if cell.running is not None:
-                task = self._stop(cell)
-                self.wasted += now - task.start
-            elif cell.done is not None:
-                task = cell.done
-                self.wasted += task.end - task.start
-                cell.done = None
-            else:
-                continue
-            self._try_start(cell)
-        self._dispatch()
+        return [targets[cid] for cid in sorted(targets)]
 
     # -- integrated speculation ----------------------------------------------
 

@@ -207,6 +207,8 @@ class Program:
         for k, ins in enumerate(self.instructions):
             if not isinstance(ins, Instruction):
                 raise SchemaError(f"instructions[{k}] must be an Instruction, got {ins!r}")
+        if not isinstance(self.name, str):
+            raise SchemaError(f"name must be a string, got {self.name!r}")
 
     @property
     def patches(self) -> list[PatchId]:

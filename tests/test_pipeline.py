@@ -40,8 +40,14 @@ from specwin.program import (
     InstructionKind,
     Program,
     builtin_program,
+    validate,
 )
 from specwin.windowing import MAX_TASK_UNITS, STRATEGIES, T, Side
+
+from generated import generated_programs
+
+# Generated programs the engine invariants are checked on besides the builtins.
+GENERATED = 40
 
 
 def idle_program(d: int, rounds: int) -> Program:
@@ -110,6 +116,9 @@ def test_decode_latency_fixed_and_linear():
     assert decode_latency(0.2, 5, LatencyModel.linear(0.5)) == 3
     # never below one round
     assert decode_latency(1.0, 3, LatencyModel.linear(0.01)) == 1
+    # an unknown kind is named, not taken for an empirical model
+    with pytest.raises(ValueError, match="unknown latency kind 'bogus'"):
+        decode_latency(1, 3, LatencyModel(kind="bogus"))
 
 
 def test_decode_latency_empirical():
@@ -169,6 +178,12 @@ def test_config_validation():
     for bad in (2.5, True, "2", 0):
         with pytest.raises(ValueError, match="processors"):
             SimConfig(processors=bad).validate()
+    # A truthy or falsy stand-in would run as its truth value.
+    for bad in ("no", None, 0, 1, np.int64(1)):
+        with pytest.raises(ValueError, match="stall_blocking"):
+            SimConfig(stall_blocking=bad).validate()
+    for good in (True, False, np.bool_(False)):
+        SimConfig(stall_blocking=good).validate()
     # Probabilities are real numbers, numpy scalars included; a bool or a
     # string is not.
     for name in ("accuracy", "accuracy_adjacent", "noise_p"):
@@ -578,48 +593,172 @@ def _cap_cells(monkeypatch, cap: int) -> None:
 
 
 def test_queue_waits_only_on_busy_processors_and_faces_attach_before_generation(monkeypatch):
-    """After every event, the decoder queue is empty or every processor is
-    busy, so only a freed processor can start a queued cell; and no face
-    attaches to a cell once it has generated, so a cell's sink faces are
-    those its decode tasks started on.  Runs that live-lock a limited pool
-    stop at a cell cap."""
+    """Engine invariants, checked on every builtin at d=3 and on generated
+    programs, under each strategy, speculation mode, recovery scope, pool
+    and latency.  Each is why a guard the engine does without would never
+    fire.
+
+    - After every event, the decoder queue is empty or every processor is
+      busy, so only a freed processor can start a queued cell.
+    - No face attaches to a cell once it has generated, so a cell's sink
+      faces are those its decode tasks started on.
+    - ``_try_start`` never sees a verified cell or one that holds a
+      finished task.
+    - Every recovery target is unverified and holds a running or finished
+      task.
+    - No commit starts before the clock.  After a patch's final commit its
+      tail cell ends at the patch's death, and when a tail cell shrinks,
+      no cell across its sink faces has generated.
+    - Every cell verifies at most once, and only after every cell across
+      its sink faces has; no reaction is negative.
+    - On every finished run, valid plus wasted compute is the busy area.
+
+    Runs that live-lock a limited pool stop at a cell cap, with every event
+    before the stop checked.
+    """
     _cap_cells(monkeypatch, 1500)
-    seen = {"events": 0, "queued": 0, "attached": 0}
+    seen = dict.fromkeys(
+        ("events", "queued", "attached", "recovered", "shrunk", "finished", "capped"), 0
+    )
 
-    def checked(handler):
-        def after(self, *args):
-            handler(self, *args)
-            seen["events"] += 1
-            if self.queue:
-                seen["queued"] += 1
-                assert self.running_count == self.cfg.processors
-        return after
+    def wrap(name, check):
+        method = getattr(_Engine, name)
+        monkeypatch.setattr(_Engine, name, lambda self, *args: check(method, self, *args))
 
-    def attach(self, a, b, side):
+    def after_event(handler, self, *args):
+        handler(self, *args)
+        seen["events"] += 1
+        if self.queue:
+            seen["queued"] += 1
+            assert self.running_count == self.cfg.processors
+
+    def attach(attach_face, self, a, b, side):
         assert a.gen_time is None and b.gen_time is None
         seen["attached"] += 1
         attach_face(self, a, b, side)
 
-    attach_face = _Engine._attach
-    monkeypatch.setattr(_Engine, "_attach", attach)
+    def try_start(start, self, cell):
+        assert cell.verified_at is None and cell.done is None
+        start(self, cell)
+
+    def recovery_targets(targets_of, self, src, face):
+        targets = targets_of(self, src, face)
+        for cell in targets:
+            assert cell.verified_at is None and (cell.running or cell.done)
+        seen["recovered"] += len(targets)
+        return targets
+
+    def commit(commit_at, self, gi, ins, start):
+        assert start >= self.clock
+        commit_at(self, gi, ins, start)
+        for q in ins.patches:
+            ps = self.pstate[q]
+            if ps.order[-1] == gi:
+                assert ps.cells[-1].t1 == self.exec_end[gi]
+
+    def apply_death(shrink, self, last, death):
+        if last.t1 > death:
+            seen["shrunk"] += 1
+            assert all(self.cells[f.neighbor].gen_time is None for f in last.sinks)
+        shrink(self, last, death)
+
+    def note_release(resolve, self, rel):
+        resolved = resolve(self, rel)
+        assert not resolved or self.reactions[-1][1] >= 0
+        return resolved
+
+    def run(run_engine, self):
+        running["engine"] = self
+        return run_engine(self)
+
+    running = {}
+    verified_at = pipeline._Cell.verified_at
+
+    class VerifiesOnce(pipeline._Cell):
+        """A cell that verifies once, after the sources of its sink faces."""
+
+        __slots__ = ()
+
+        @property
+        def verified_at(self):
+            return verified_at.__get__(self)
+
+        @verified_at.setter
+        def verified_at(self, t):
+            if t is not None:
+                assert verified_at.__get__(self) is None
+                cells = running["engine"].cells
+                assert all(cells[f.neighbor].verified_at is not None for f in self.sinks)
+            verified_at.__set__(self, t)
+
+    monkeypatch.setattr(pipeline, "_Cell", VerifiesOnce)
+    wrap("run", run)
     for name in ("_on_gen", "_on_done", "_on_spec"):
-        monkeypatch.setattr(_Engine, name, checked(getattr(_Engine, name)))
-    for name, strategy, spec, pool, rounds in product(
-        BUILTIN_PROGRAMS, STRATEGIES, SPECULATION_MODES, (None, 1, 2, 3), (1, 4)
-    ):
-        cfg = SimConfig(
-            strategy=strategy,
-            speculation=spec,
-            processors=pool,
-            latency=LatencyModel.fixed(rounds),
-        )
-        try:
-            simulate(builtin_program(name, 3), cfg)
-        except _CellCap:
-            pass
-    # Both facts were exercised: cells waited in the queue, faces attached.
+        wrap(name, after_event)
+    wrap("_attach", attach)
+    wrap("_try_start", try_start)
+    wrap("_recovery_targets", recovery_targets)
+    wrap("_commit", commit)
+    wrap("_apply_death", apply_death)
+    wrap("_note_release", note_release)
+
+    modes = [("off", "adjacent"), ("integrated", "adjacent")]
+    modes += [("stochastic", recovery) for recovery in RECOVERY_STRATEGIES]
+    programs = [builtin_program(name, 3) for name in BUILTIN_PROGRAMS]
+    programs += generated_programs(GENERATED)
+    for k, prog in enumerate(programs):
+        for strategy, (spec, recovery), pool, rounds in product(
+            STRATEGIES, modes, (None, 1, 2, 3), (1, 4)
+        ):
+            cfg = SimConfig(
+                strategy=strategy,
+                speculation=spec,
+                recovery=recovery,
+                processors=pool,
+                latency=LatencyModel.fixed(rounds),
+                stall_blocking=k % 4 != 3,
+                noise_p=0.02,
+            )
+            try:
+                res = simulate(prog, cfg)
+            except _CellCap:
+                seen["capped"] += 1
+                continue
+            seen["finished"] += 1
+            assert occupancy_area(res) == res.valid_compute + res.wasted_compute
+    # Every check was exercised: cells waited in the queue, faces attached,
+    # tasks were recovered, tail cells shrank, and some runs finished.
     assert 0 < seen["queued"] < seen["events"]
-    assert seen["attached"] > 0
+    assert seen["attached"] > 0 and seen["recovered"] > 0 and seen["shrunk"] > 0
+    assert seen["finished"] > seen["capped"]
+
+
+def test_generated_programs_validate_and_run():
+    """The generator emits only programs ``validate`` accepts, drawing every
+    kind it names, merges of adjacent patches and conditionals on another
+    patch than their T gate's, and each runs to completion under an
+    unlimited pool in every strategy and speculation mode."""
+    programs = generated_programs(GENERATED)
+    kinds, merged, remote = set(), 0, 0
+    for prog in programs:
+        assert validate(prog) == []
+        for ins in prog.instructions:
+            kinds.add(ins.kind)
+            merged += ins.merging
+            if ins.conditional_on is not None:
+                remote += ins.patches[0] not in prog.instructions[ins.conditional_on].patches
+        for strategy, spec in product(STRATEGIES, SPECULATION_MODES):
+            res = simulate(prog, SimConfig(strategy=strategy, speculation=spec))
+            check_timeline(prog, res)
+    assert kinds == {
+        InstructionKind.IDLE,
+        InstructionKind.MERGE_ZZ,
+        InstructionKind.SPLIT,
+        InstructionKind.T_TELEPORT,
+        InstructionKind.S_GATE,
+    }
+    assert merged > 0 and remote > 0
+    assert {prog.grid for prog in programs} == {(r, c) for r in (1, 2) for c in (1, 2, 3)}
 
 
 @pytest.mark.xfail(
@@ -628,15 +767,33 @@ def test_queue_waits_only_on_busy_processors_and_faces_attach_before_generation(
     reason="A limited decoder pool can live-lock (ROADMAP: 'A limited decoder pool "
     "can live-lock: a measured policy that ends it')",
 )
-def test_limited_pool_msd_returns(monkeypatch):
-    """A pool of 2 or 3 decoders finishes msd_15to1 at d=3 within 20 times
-    the cells of the unlimited run."""
-    prog = builtin_program("msd_15to1", 3)
+@pytest.mark.parametrize(
+    "prog,pools,cells",
+    [
+        (builtin_program("msd_15to1", 3), (2, 3), 362),
+        # The smallest program known to live-lock: a T gate on one patch
+        # and an S conditional on it on the other.
+        (
+            Program(3, (1, 2), [
+                Instruction(InstructionKind.IDLE, [(0, 1)], 0, 2),
+                Instruction(InstructionKind.T_TELEPORT, [(0, 0)], 3, 3),
+                Instruction(InstructionKind.S_GATE, [(0, 1)], 7, 2, conditional_on=1),
+                Instruction(InstructionKind.IDLE, [(0, 0)], 6, 4),
+            ]),
+            (1,),
+            10,
+        ),
+    ],
+    ids=["msd_15to1", "four_instructions"],
+)
+def test_limited_pool_msd_returns(monkeypatch, prog, pools, cells):
+    """A limited pool finishes the program within 20 times the cells of the
+    unlimited run: msd_15to1 at d=3 with 2 or 3 decoders, and the
+    four-instruction program with 1."""
     cfg = SimConfig(strategy="sliding", speculation="off", latency=LatencyModel.fixed(4))
-    cells = len(simulate(prog, cfg).cell_log)
-    assert cells == 362
+    assert len(simulate(prog, cfg).cell_log) == cells
     _cap_cells(monkeypatch, 20 * cells)
-    for pool in (2, 3):
+    for pool in pools:
         res = simulate(prog, replace(cfg, processors=pool))
         check_timeline(prog, res)
 

@@ -231,6 +231,7 @@ def test_rejects_malformed_instruction(raw):
         (lambda: Instruction(["Idle"], [(0, 0)], 0, 1), "^kind must be one of"),
         (lambda: Program(3, (1, 1), instructions=5), "^instructions must be a list"),
         (lambda: Program(3, (1, 1), instructions=[5]), r"^instructions\[0\] must be an Instruction"),
+        (lambda: Program(3, (1, 1), name=5), "^name must be a string"),
     ],
 )
 def test_malformed_structure_names_its_field(build, match):
