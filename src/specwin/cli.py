@@ -14,6 +14,7 @@ import argparse
 import json
 import statistics
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .pipeline import (
@@ -58,11 +59,11 @@ def _add_sim_args(
 ) -> None:
     """Simulation options; a subcommand that sets the latency or the pool
     size itself leaves that option out."""
-    p.add_argument("--strategy", default="sliding", choices=sorted(STRATEGIES))
-    p.add_argument("--spec", default="off", choices=SPECULATION_MODES)
-    p.add_argument("--accuracy", type=float, default=0.90)
-    p.add_argument("--accuracy-adjacent", type=float, default=0.86)
-    p.add_argument("--recovery", default="adjacent", choices=RECOVERY_STRATEGIES)
+    p.add_argument("--strategy", default=SimConfig.strategy, choices=sorted(STRATEGIES))
+    p.add_argument("--spec", default=SimConfig.speculation, choices=SPECULATION_MODES)
+    p.add_argument("--accuracy", type=float, default=SimConfig.accuracy)
+    p.add_argument("--accuracy-adjacent", type=float, default=SimConfig.accuracy_adjacent)
+    p.add_argument("--recovery", default=SimConfig.recovery, choices=RECOVERY_STRATEGIES)
     if latency:
         p.add_argument(
             "--latency",
@@ -75,8 +76,10 @@ def _add_sim_args(
             default="unlimited",
             help="decoder pool size: a number, 'auto' (heuristic), or 'unlimited'",
         )
-    p.add_argument("--noise-p", type=float, default=1e-3, help="integrated-mode error rate")
-    p.add_argument("--seed", default=0)
+    p.add_argument(
+        "--noise-p", type=float, default=SimConfig.noise_p, help="integrated-mode error rate"
+    )
+    p.add_argument("--seed", default=SimConfig.seed)
     p.add_argument(
         "--no-stall",
         action="store_true",
@@ -184,24 +187,29 @@ def _summary_lines(program: Program, cfg: SimConfig, result) -> list[str]:
     return lines
 
 
+def _open_out(path: str | None, newline: str | None):
+    """``--out`` opened for writing, so a path that cannot be written fails
+    before anything runs or prints; a null context without one."""
+    return open(path, "w", newline=newline) if path else nullcontext()
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     program = _load_program(args)
     cfg = _build_config(args, program)
-    _size_pool(args, program, cfg)
-    result = simulate(program, cfg)
-    for line in _summary_lines(program, cfg, result):
-        print(line)
-    if args.out:
-        if args.out.endswith(".svg"):
-            with open(args.out, "w") as fh:
+    out = args.out or ""
+    with _open_out(args.out, None if out.endswith((".svg", ".json")) else "") as fh:
+        _size_pool(args, program, cfg)
+        result = simulate(program, cfg)
+        for line in _summary_lines(program, cfg, result):
+            print(line)
+        if fh:
+            if out.endswith(".svg"):
                 fh.write(trace_svg(program, result))
-        elif args.out.endswith(".json"):
-            with open(args.out, "w") as fh:
+            elif out.endswith(".json"):
                 json.dump(result.to_json(), fh, indent=2)
-        else:
-            with open(args.out, "w", newline="") as fh:
+            else:
                 write_trace_csv(program, result, fh)
-        print(f"wrote {args.out}")
+            print(f"wrote {args.out}")
     return 0
 
 
@@ -223,19 +231,19 @@ def cmd_sweep_latency(args: argparse.Namespace) -> int:
 def cmd_predictor_eval(args: argparse.Namespace) -> int:
     for d in args.d:
         check_eval_args(d, args.p, args.shots)
-    rows = []
-    for d in args.d:
-        rows.extend(evaluate_predictors(d, args.p, args.shots, seed=args.seed))
-    print(f"{'d':>3} {'predictor':>10} {'accuracy':>9} {'fp_rate':>8} {'fn_rate':>8}")
-    for row in rows:
-        print(
-            f"{row['d']:>3} {row['predictor']:>10} {row['accuracy']:>9.4f} "
-            f"{row['fp_rate']:>8.4f} {row['fn_rate']:>8.4f}"
-        )
-    if args.out:
-        with open(args.out, "w", newline="") as fh:
+    with _open_out(args.out, "") as fh:
+        rows = []
+        for d in args.d:
+            rows.extend(evaluate_predictors(d, args.p, args.shots, seed=args.seed))
+        print(f"{'d':>3} {'predictor':>10} {'accuracy':>9} {'fp_rate':>8} {'fn_rate':>8}")
+        for row in rows:
+            print(
+                f"{row['d']:>3} {row['predictor']:>10} {row['accuracy']:>9.4f} "
+                f"{row['fp_rate']:>8.4f} {row['fn_rate']:>8.4f}"
+            )
+        if fh:
             write_accuracy_csv(rows, fh)
-        print(f"wrote {args.out}")
+            print(f"wrote {args.out}")
     return 0
 
 

@@ -213,13 +213,15 @@ class LatencyModel:
 
     @classmethod
     def fixed(cls, rounds: int) -> "LatencyModel":
-        cls(kind="fixed", rounds=rounds).validate()
-        return cls(kind="fixed", rounds=int(rounds))
+        model = cls(kind="fixed", rounds=rounds)
+        model.validate()
+        return model
 
     @classmethod
     def linear(cls, rate: float) -> "LatencyModel":
-        cls(kind="linear", rate=rate).validate()
-        return cls(kind="linear", rate=float(rate))
+        model = cls(kind="linear", rate=rate)
+        model.validate()
+        return model
 
     @classmethod
     def empirical(cls, buckets: dict[int, list[int]]) -> "LatencyModel":
@@ -231,20 +233,17 @@ class LatencyModel:
     def validate(self, d: int | None = None) -> None:
         """Raise ValueError unless the model can run; given the code
         distance ``d``, also unless the largest task a cell can take lasts
-        a finite number of rounds.  Stores whole numbers back as ints."""
+        a finite number of rounds.  Stores whole numbers as ints, the rate as a float."""
         if self.kind not in ("fixed", "linear", "empirical"):
             raise ValueError(f"unknown latency kind {self.kind!r}")
         if self.kind == "fixed":
             self.rounds = check_whole("fixed latency rounds", self.rounds, 1)
         if self.kind == "linear":
-            rate = check_real("linear latency rate", self.rate)
+            self.rate = rate = check_real("linear latency rate", self.rate)
             if not 0 < rate < math.inf:
                 raise ValueError(f"linear latency rate must be positive and finite, got {rate!r}")
-            # decode_latency multiplies in the rate's own type: a numpy
-            # float32 overflows at its own largest value.
-            own = np.finfo(self.rate).max if isinstance(self.rate, np.floating) else math.inf
-            if d is not None and not rate * MAX_TASK_UNITS * d < float(own):
-                raise ValueError(f"linear rate {self.rate!r} overflows the largest task at d={d}")
+            if d is not None and not rate * MAX_TASK_UNITS * d < math.inf:
+                raise ValueError(f"linear rate {rate!r} overflows the largest task at d={d}")
         if self.kind == "empirical":
             if not isinstance(self.buckets, dict) or not self.buckets:
                 raise ValueError("empirical latency needs an object of size: [rounds] buckets")
@@ -318,7 +317,7 @@ class SimConfig:
 
     def validate(self, d: int | None = None) -> None:
         """Raise ValueError unless the config can run, and store whole numbers
-        back as ints; ``d`` is the code distance, which bounds the latency."""
+        as ints, reals as floats; ``d``, the code distance, bounds the latency."""
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.speculation not in SPECULATION_MODES:
@@ -326,7 +325,7 @@ class SimConfig:
         if self.recovery not in RECOVERY_STRATEGIES:
             raise ValueError(f"unknown recovery strategy {self.recovery!r}")
         for name in ("accuracy", "accuracy_adjacent", "noise_p"):
-            check_real(name, getattr(self, name))
+            setattr(self, name, check_real(name, getattr(self, name)))
         if not (0.0 <= self.accuracy_adjacent <= self.accuracy <= 1.0):
             raise ValueError("need 0 <= accuracy_adjacent <= accuracy <= 1")
         # Stored back as ints: the keyed draws hash the seed's value.
@@ -354,16 +353,6 @@ class TraceSegment:
     label: str
     skipped: bool = False
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "instruction": self.instruction,
-            "patches": [list(p) for p in self.patches],
-            "start": self.start,
-            "end": self.end,
-            "label": self.label,
-            "skipped": self.skipped,
-        }
-
 
 @dataclass(slots=True)
 class CellRecord:
@@ -375,18 +364,6 @@ class CellRecord:
     first_start: int
     verified_round: int
     attempts: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "patch": list(self.patch),
-            "index": self.index,
-            "t0": self.t0,
-            "t1": self.t1,
-            "gen_round": self.gen_round,
-            "first_start": self.first_start,
-            "verified_round": self.verified_round,
-            "attempts": self.attempts,
-        }
 
 
 @dataclass
@@ -406,16 +383,18 @@ class SimResult:
         return float(self.runtime_rounds)
 
     def to_json(self) -> dict[str, Any]:
+        """JSON-ready data; a record's ``patches`` or ``patch`` stays a tuple,
+        which dumps as the same JSON list."""
         return {
             "runtime_rounds": self.runtime_rounds,
             "runtime_us": self.runtime_us,
             "reactions": [list(r) for r in self.reactions],
-            "timeline": [seg.to_json() for seg in self.timeline],
+            "timeline": [dict(zip(TraceSegment.__slots__, _SEGMENT_ROW(s))) for s in self.timeline],
             "occupancy": [list(o) for o in self.occupancy],
             "valid_compute": self.valid_compute,
             "wasted_compute": self.wasted_compute,
             "mispredictions": self.mispredictions,
-            "cells": [c.to_json() for c in self.cell_log],
+            "cells": [dict(zip(CellRecord.__slots__, _CELL_ROW(c))) for c in self.cell_log],
         }
 
     def __reduce__(self):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from specwin import cli, pipeline
 from specwin.cli import main
-from specwin.pipeline import LatencyModel, SimConfig, simulate
+from specwin.pipeline import LatencyModel, SimConfig, parse_latency, simulate
 from specwin.program import builtin_program, serialize_program
 
 
@@ -370,6 +371,43 @@ def test_whole_number_options_name_themselves(argv, message, monkeypatch, capsys
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--d", "3", "--count", "2", "--out", "@x.csv"],
+        ["predictor-eval", "--d", "3", "--shots", "2000", "--out", "@r.csv"],
+    ],
+    ids=["run", "predictor-eval"],
+)
+def test_unwritable_out_fails_before_anything_runs(argv, monkeypatch, capsys, tmp_path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before opening --out")
+
+    for name in ("simulate", "simulate_many", "processor_heuristic", "evaluate_predictors"):
+        monkeypatch.setattr(cli, name, no_run)
+    argv = [arg.replace("@", f"{tmp_path}/missing/") for arg in argv]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno 2] No such file or directory: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_run_defaults_are_simconfig_defaults(monkeypatch, capsys):
+    """``specwin run`` without simulation options runs ``SimConfig()``."""
+    configs = []
+
+    def recording(program, cfg):
+        configs.append(cfg)
+        return simulate(program, cfg)
+
+    monkeypatch.setattr(cli, "simulate", recording)
+    assert main(["run", "--d", "3"]) == 0
+    assert configs == [SimConfig()]
+    assert parse_latency("linear:1.0", 3) == LatencyModel()
+
+
 def test_recovery_eval_table_matches_serial_runs(capsys):
     rc = main(
         [
@@ -515,10 +553,13 @@ def test_options_a_subcommand_sets_itself_are_rejected(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands() -> list[list[str]]:
     """The argv of every ``specwin`` line in README's code blocks, with
     backslash continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text()
     commands, fenced, line = [], False, ""
     for raw in text.splitlines():
         if raw.startswith("```"):
@@ -545,3 +586,17 @@ def test_readme_examples_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_readme_python_examples_run(capsys):
+    """README's Python blocks run against specwin, so its API usage cannot
+    drift.  The ``simulate_many`` block runs under another module name, so
+    only its imports run and its ``__main__`` guard spawns no workers."""
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+    assert len(blocks) == 2
+    one, many = {"__name__": "readme_example"}, {"__name__": "readme_example"}
+    exec(blocks[0], one)
+    assert isinstance(one["result"], pipeline.SimResult)
+    assert capsys.readouterr().out.startswith(f"{one['result'].runtime_rounds} ")
+    exec(blocks[1], many)
+    assert many["simulate_many"] is pipeline.simulate_many and "wasted" not in many

@@ -142,6 +142,21 @@ def test_fixed_latency_takes_whole_rounds():
             LatencyModel.fixed(bad)
 
 
+def test_a_validated_rate_and_the_factory_agree():
+    """A numpy float32 rate is stored as a float, so a validated model and
+    ``linear()`` give the same rounds.  Multiplied in float32, rate 0.1 at
+    k=2, d=5 would take 1 round; as a float it takes 2."""
+    for i in range(1, 2000):
+        rate = np.float32(i / 1000)
+        built = LatencyModel(kind="linear", rate=rate)
+        built.validate()
+        factory = LatencyModel.linear(rate)
+        assert built == factory
+        for d in (3, 5, 7, 9, 11):
+            for k in range(1, 12):
+                assert decode_latency(k, d, built) == decode_latency(k, d, factory)
+
+
 def test_linear_latency_rate_is_bounded_by_the_distance():
     """A rate whose largest task overflows to infinite rounds at the
     program's distance fails before the run, not inside ``decode_latency``."""
@@ -166,6 +181,13 @@ def test_tasks_never_exceed_the_largest_task(strategy):
 def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(strategy="diagonal").validate()
+    with pytest.raises(ValueError, match="unknown speculation mode 'eager'"):
+        SimConfig(speculation="eager").validate()
+    with pytest.raises(ValueError, match="unknown recovery strategy 'lazy'"):
+        SimConfig(recovery="lazy").validate()
+    for bad in (1.0, -0.1):
+        with pytest.raises(ValueError, match=r"noise_p must be in \[0, 1\)"):
+            SimConfig(noise_p=bad).validate()
     with pytest.raises(ValueError):
         SimConfig(accuracy=0.5, accuracy_adjacent=0.6).validate()
     with pytest.raises(ValueError):
@@ -198,6 +220,11 @@ def test_config_validation():
         accuracy=np.float32(0.9), accuracy_adjacent=np.int64(0), noise_p=np.float32(1e-3)
     ).validate()
     SimConfig(accuracy=np.int64(1), accuracy_adjacent=np.float32(0.5), noise_p=np.int64(0)).validate()
+    # Reals are stored back as floats, as whole numbers are stored as ints.
+    cfg = SimConfig(accuracy=np.int64(1), accuracy_adjacent=np.float32(0.5), noise_p=0)
+    cfg.validate()
+    reals = (cfg.accuracy, cfg.accuracy_adjacent, cfg.noise_p)
+    assert reals == (1.0, 0.5, 0.0) and {type(x) for x in reals} == {float}
     # Latency models check their own fields: a fractional or bool round
     # count, a non-number rate or a spec string in place of a model fails
     # with the field's name, instead of running truncated or crashing.
@@ -219,18 +246,24 @@ def test_config_validation():
         assert type(model.rounds) is int and model.rounds == 4
         assert LatencyModel.fixed(good).rounds == 4
     for good in (2, 0.5, np.float32(0.5), np.int64(2)):
-        LatencyModel(kind="linear", rate=good).validate(3)
+        model = LatencyModel(kind="linear", rate=good)
+        model.validate(3)
+        assert type(model.rate) is float and model.rate == float(good)
         SimConfig(latency=LatencyModel.linear(good)).validate(3)
-    # A rate whose largest task overflows, in a Python float or in the
-    # rate's own numpy type, fails with the rate's name and no warning.
+    # A rate whose largest task overflows a float fails with the rate's name
+    # and no warning.  The rate is stored as a float, so a numpy float32 runs
+    # as its float value, not in its own narrower type.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for bad in (10**400, np.float32(3e38), np.float64(1e308)):
+        for bad in (10**400, np.float64(1e308)):
             with pytest.raises(ValueError, match="rate"):
                 LatencyModel(kind="linear", rate=bad).validate(3)
             with pytest.raises(ValueError, match="rate"):
                 cfg = SimConfig(latency=LatencyModel(kind="linear", rate=bad))
                 simulate(idle_program(3, 6), cfg)
+        cfg = SimConfig(latency=LatencyModel(kind="linear", rate=np.float32(3e38)))
+        simulate(idle_program(3, 6), cfg)
+        assert cfg.latency.rate == float(np.float32(3e38))
         LatencyModel(kind="linear", rate=np.float32(1e36)).validate(3)
 
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from specwin.pipeline import simulate
 from specwin.program import (
     ConditionalError,
     Instruction,
@@ -92,8 +93,28 @@ def test_conditional_must_point_to_blocking():
 def test_conditional_must_point_backward():
     data = serialize_program(simple_program())
     data["instructions"][2]["conditional_on"] = 5
-    with pytest.raises(ConditionalError):
+    with pytest.raises(ConditionalError, match="^instruction 2: conditional_on 5 out of range$"):
         parse_program(data)
+    # A T gate that starts after the S gate is in range but does not precede it.
+    data["instructions"].append(
+        {"kind": "TTeleport", "patches": [[0, 0], [0, 1]], "start_round": 12, "duration": 5}
+    )
+    data["instructions"][2]["conditional_on"] = 3
+    with pytest.raises(ConditionalError, match="^instruction 2: conditional target 3 does not"):
+        parse_program(data)
+    # simulate runs only a program validate accepts, and names every fault.
+    prog = simple_program()
+    prog.instructions[1:] = [
+        Instruction(InstructionKind.S_GATE, ((0, 1),), 0, 2, conditional_on=5),
+        Instruction(InstructionKind.S_GATE, ((0, 0),), 10, 2, conditional_on=3),
+        Instruction(InstructionKind.T_TELEPORT, ((0, 0), (0, 1)), 12, 5),
+    ]
+    with pytest.raises(
+        ProgramError,
+        match="^instruction 1: conditional_on 5 out of range; "
+        "instruction 2: conditional target 3 does not precede it$",
+    ):
+        simulate(prog)
 
 
 def test_conditional_only_on_s_gate():
@@ -111,8 +132,14 @@ def test_patch_outside_grid():
 
 
 def test_bad_json_text():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="^invalid JSON"):
         parse_program("{not json")
+    with pytest.raises(SchemaError, match="^program must be a JSON object$"):
+        parse_program("[1, 2]")
+    data = serialize_program(simple_program())
+    del data["grid"]
+    with pytest.raises(SchemaError, match="^missing or malformed field: 'grid'$"):
+        parse_program(data)
 
 
 def _set(data: dict, path: tuple, value) -> dict:
@@ -227,6 +254,7 @@ def test_rejects_malformed_instruction(raw):
         (lambda: Instruction("Idle", [5], 0, 1), "^patches must be"),
         (lambda: Instruction("Idle", 7, 0, 1), "^patches must be"),
         (lambda: Instruction("Idle", [(0, 0, 1)], 0, 1), "^patches must be"),
+        (lambda: Instruction("Idle", [], 0, 1), "^instruction requires at least one patch$"),
         (lambda: Instruction("Bogus", [(0, 0)], 0, 1), "^kind must be one of"),
         (lambda: Instruction(["Idle"], [(0, 0)], 0, 1), "^kind must be one of"),
         (lambda: Program(3, (1, 1), instructions=5), "^instructions must be a list"),
